@@ -111,9 +111,9 @@ RA106 = Rule(
     "A repro.dist module concatenates shard results in dict/set "
     "iteration order; the merged dose would depend on container "
     "ordering, not shard index.",
-    "Collect (shard_index, array) pairs and merge through "
-    "merge_shard_outputs, which sorts by explicit shard index before "
-    "any concatenation.",
+    "Compile the shards into a ShardedPlan and let each slice write its "
+    "own row range of one preallocated output, visited in explicit "
+    "shard-index order (execute_sharded_plan, ShardedEvaluator).",
 )
 RA107 = Rule(
     "RA107",

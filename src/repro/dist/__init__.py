@@ -15,29 +15,33 @@ boundaries*:
   :mod:`repro.gpu.memory_planner`);
 * :mod:`repro.dist.executor` — per-shard execution with a crash barrier
   and a bounded retry budget (:class:`FailureInjector` for fault drills);
-* :mod:`repro.dist.merge` — the deterministic tree merge: shard outputs
-  combine in explicit shard-index order, never in completion or dict
-  order (rule RA106);
 * :mod:`repro.dist.evaluator` — :class:`ShardedEvaluator`, compiling one
-  :class:`~repro.kernels.plan.SpMVPlan` per shard and guaranteeing the
-  sharded dose is **bitwise identical** to the single-device evaluation
-  for every shard count and pool size;
+  fused :class:`~repro.kernels.plan.ShardedPlan` whose shards write
+  their output slices in explicit shard-index order, never in
+  completion or dict order (rule RA106), so the sharded dose is
+  **bitwise identical** to the single-device evaluation for every shard
+  count and pool size; :func:`tuned_or_default_evaluator` builds one
+  from a warm tuning-cache entry when there is one;
 * :mod:`repro.dist.backend` — the serving-layer adapter
-  (:class:`ShardedServeBackend`) behind
-  :class:`~repro.serve.service.DoseEvaluationService`;
+  (:class:`ShardedServeBackend`): the sharding settings behind
+  :class:`~repro.serve.service.DoseEvaluationService`, the forward and
+  adjoint evaluators its plan cache holds, and the sharded batch call;
 * :mod:`repro.dist.bench` — the strong-scaling sweep recorded to
   ``BENCH_dist.json``.
 """
 
 from repro.dist.backend import ShardedServeBackend
 from repro.dist.bench import StrongScalingPoint, strong_scaling_sweep
-from repro.dist.evaluator import ShardedEvaluation, ShardedEvaluator
+from repro.dist.evaluator import (
+    ShardedEvaluation,
+    ShardedEvaluator,
+    tuned_or_default_evaluator,
+)
 from repro.dist.executor import (
     DeviceFailure,
     FailureInjector,
     ShardExecutionError,
 )
-from repro.dist.merge import merge_shard_outputs, tree_merge
 from repro.dist.pool import (
     DevicePool,
     Placement,
@@ -60,10 +64,9 @@ __all__ = [
     "ShardedServeBackend",
     "SimulatedDevice",
     "StrongScalingPoint",
-    "merge_shard_outputs",
     "place_memory_aware",
     "place_round_robin",
     "shard_matrix",
     "strong_scaling_sweep",
-    "tree_merge",
+    "tuned_or_default_evaluator",
 ]

@@ -1,37 +1,37 @@
 """Serving-layer adapter: sharded evaluation behind the micro-batcher.
 
-:class:`ShardedServeBackend` slots into
-:class:`~repro.serve.service.DoseEvaluationService` where the
-single-device SpMM call sits today: the scheduler still coalesces
-requests per ``(plan, precision)``, and the backend answers each batch
-with a :class:`~repro.kernels.batched.MultiVectorSpMVResult` whose doses
-are bitwise identical to the single-device path — the service's
-determinism guarantee survives the device-count change untouched.
+:class:`ShardedServeBackend` holds the serve layer's sharding settings
+(shard count, simulated device pool, placement, retry budget) and builds
+the two sharded operators a serve plan-cache entry
+(:class:`repro.serve.cache.PlanEntry`) owns: the tuned-or-default
+forward evaluator and the adjoint over the explicit transpose.  The
+operators live in that entry, created and evicted together with the
+converted matrix they were compiled from.
 
-The backend keeps a bounded LRU of
-``(plan_id, precision) -> ShardedEvaluator`` (sharding + per-shard plan
-compilation are matrix-level work, paid once per resident plan, exactly
-like the serve layer's converted-matrix and exec-plan caches), with the
-same identity re-verification: if the converted matrix was evicted and
-rebuilt, the evaluator is rebuilt against the live object.
+Above one shard the service answers each batch through
+:meth:`ShardedServeBackend.run_batch`, which returns the same
+:class:`~repro.kernels.batched.MultiVectorSpMVResult` shape as the
+single-device path with bitwise identical doses — the service's
+determinism guarantee survives the device-count change untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.harness import LRUCache
 from repro.kernels.base import SpMVKernel
 from repro.kernels.batched import MultiVectorSpMVResult
-from repro.kernels.dispatch import make_kernel
-from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
 from repro.util.errors import ReproError
 
-from repro.dist.evaluator import ShardedEvaluation, ShardedEvaluator
+from repro.dist.evaluator import (
+    ShardedEvaluation,
+    ShardedEvaluator,
+    tuned_or_default_evaluator,
+)
 from repro.dist.executor import FailureInjector
 from repro.dist.pool import DevicePool
 
@@ -53,7 +53,8 @@ class ShardedVectorResult:
 
 
 class ShardedServeBackend:
-    """Evaluate serve batches across a simulated device pool."""
+    """Sharding settings, the evaluators built from them, and the
+    sharded batch call."""
 
     def __init__(
         self,
@@ -61,7 +62,6 @@ class ShardedServeBackend:
         n_devices: Optional[int] = None,
         placement: str = "memory",
         retry_budget: int = 2,
-        capacity: int = 8,
         device_name: str = "A100",
     ) -> None:
         if shards < 1:
@@ -73,70 +73,48 @@ class ShardedServeBackend:
             n_devices if n_devices is not None else min(shards, 4),
             device_name,
         )
-        self._evaluators: LRUCache[Tuple[str, str], ShardedEvaluator] = (
-            LRUCache("evaluator_cache", capacity, metric_prefix="dist")
-        )
 
-    def evaluator_for(
-        self, plan_id: str, precision: str, matrix: CSRMatrix
+    def forward_evaluator(
+        self, matrix: CSRMatrix, kernel: SpMVKernel
     ) -> ShardedEvaluator:
-        """The (cached) sharded evaluator for one servable plan.
+        """``A @ W`` for one converted matrix.
 
         A warm tuning-cache entry for this matrix structure transparently
         upgrades the evaluator (block size, shard count/policy,
         placement); a cold cache changes nothing — serving never runs a
         sweep inline.
         """
-        key = (plan_id, precision)
+        return tuned_or_default_evaluator(
+            matrix,
+            kernel,
+            self.shards,
+            pool=self.pool,
+            placement=self.placement,
+            retry_budget=self.retry_budget,
+        )
 
-        def build() -> ShardedEvaluator:
-            kernel: SpMVKernel = make_kernel(precision)
-            # Imported lazily: repro.tune depends on this package.
-            from repro.tune.autotuner import tuned_config_for
+    def adjoint_evaluator(
+        self, matrix: CSRMatrix, kernel: SpMVKernel
+    ) -> ShardedEvaluator:
+        """``A^T @ r`` for one converted matrix, at this shard count.
 
-            tuned = tuned_config_for(
-                matrix,
-                kernel,
-                device=self.pool.devices[0].spec.name,
-                n_devices=self.pool.n_devices,
-            )
-            if tuned is not None:
-                metrics.counter("dist.evaluators_tuned").inc()
-                return ShardedEvaluator(
-                    matrix,
-                    kernel,
-                    tuned.n_shards,
-                    pool=self.pool,
-                    placement=tuned.placement,
-                    shard_policy=tuned.shard_policy,
-                    retry_budget=self.retry_budget,
-                    dispatch=tuned.dispatch,
-                    threads_per_block=tuned.threads_per_block,
-                )
-            return ShardedEvaluator(
-                matrix,
-                kernel,
-                self.shards,
-                pool=self.pool,
-                placement=self.placement,
-                retry_budget=self.retry_budget,
-            )
-
-        evaluator = self._evaluators.get_or_create(key, build)
-        if not evaluator.matches(matrix):
-            # The serve matrix cache evicted and rebuilt this converted
-            # matrix since the evaluator was compiled; reshard against
-            # the live object and refresh the entry.
-            metrics.counter("dist.evaluator_rebuilds").inc()
-            evaluator = build()
-            self._evaluators.put(key, evaluator)
-        return evaluator
+        The rows of the explicit transpose are spots, so the adjoint's
+        merge, like the forward's, is an index-ordered slice write with
+        no floating-point arithmetic: the gradient is bitwise
+        independent of the shard count.
+        """
+        return ShardedEvaluator(
+            matrix.transposed(),
+            kernel,
+            self.shards,
+            pool=self.pool,
+            placement=self.placement,
+            retry_budget=self.retry_budget,
+        )
 
     def run_batch(
         self,
-        plan_id: str,
-        precision: str,
-        matrix: CSRMatrix,
+        evaluator: ShardedEvaluator,
         weight_vectors: Sequence[np.ndarray],
         injector: Optional[FailureInjector] = None,
     ) -> MultiVectorSpMVResult:
@@ -147,7 +125,6 @@ class ShardedServeBackend:
         service's accounting and per-request resolution code run
         unchanged; ``shards`` records the fan-out for provenance.
         """
-        evaluator = self.evaluator_for(plan_id, precision, matrix)
         evaluation: ShardedEvaluation = evaluator.evaluate_multi(
             weight_vectors, injector=injector
         )

@@ -513,3 +513,53 @@ class ShardedEvaluator:
             legacy_wall_time_s=max(legacy_device_times),
             retries=budget.spent,
         )
+
+
+def tuned_or_default_evaluator(
+    matrix: CSRMatrix,
+    kernel: SpMVKernel,
+    n_shards: int,
+    pool: Optional[DevicePool] = None,
+    placement: str = "memory",
+    retry_budget: int = 2,
+) -> ShardedEvaluator:
+    """The forward :class:`ShardedEvaluator` for ``matrix`` on ``pool``.
+
+    A warm tuning-cache entry for this matrix structure and pool width
+    upgrades the configuration (shard count and policy, placement,
+    dispatch, block size); a cold cache gives ``n_shards`` balanced
+    shards placed by ``placement``.  Lookup only: nothing is tuned
+    inline, and the dose bits are the same either way.
+    """
+    # Imported lazily: repro.tune depends on this package.
+    from repro.tune.autotuner import tuned_config_for
+
+    if pool is None:
+        pool = DevicePool.homogeneous(min(n_shards, 4))
+    tuned = tuned_config_for(
+        matrix,
+        kernel,
+        device=pool.devices[0].spec.name,
+        n_devices=pool.n_devices,
+    )
+    if tuned is None:
+        return ShardedEvaluator(
+            matrix,
+            kernel,
+            n_shards,
+            pool=pool,
+            placement=placement,
+            retry_budget=retry_budget,
+        )
+    metrics.counter("dist.evaluators_tuned").inc()
+    return ShardedEvaluator(
+        matrix,
+        kernel,
+        tuned.n_shards,
+        pool=pool,
+        placement=tuned.placement,
+        shard_policy=tuned.shard_policy,
+        retry_budget=retry_budget,
+        dispatch=tuned.dispatch,
+        threads_per_block=tuned.threads_per_block,
+    )

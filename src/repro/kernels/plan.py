@@ -559,7 +559,7 @@ class ShardedPlan:
     slice index, never by completion or container order — rule RA106).
 
     Identity anchors reference the *source* matrix the sharding was cut
-    from, so :meth:`matches` answers the question evaluator caches ask.
+    from, so :meth:`matches` answers whether the plan was cut from it.
     """
 
     family: str

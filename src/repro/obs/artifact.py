@@ -225,10 +225,10 @@ def matrix_fingerprint(matrix: Any) -> str:
 def cache_metrics_snapshot() -> Dict[str, Any]:
     """Snapshot of every cache metric (hit/miss/eviction/size counters).
 
-    Covers the serve plan/exec-plan caches, the harness matrix caches,
-    the process-global plan cache and the dist evaluator cache — the
-    numbers that make loadtest amortization claims auditable after the
-    fact.
+    Covers the serve plan cache (one entry per (plan, precision): the
+    converted matrix and every operator compiled from it), the harness
+    matrix caches and the process-global plan cache — the numbers that
+    make loadtest amortization claims auditable after the fact.
     """
     return {
         name: state

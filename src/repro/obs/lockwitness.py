@@ -66,7 +66,7 @@ LOCK_LEVELS: Dict[str, int] = {
     "serve.cache.PlanStore": 30,
     "bench.harness.LRUCache": 30,
     "kernels.plan.PlanCache": 30,
-    "opt.service.engines": 30,
+    "serve.cache.PlanEntry": 30,
     "serve.service.accounting": 35,
     "opt.service.accounting": 35,
     "opt.solver.stats": 35,

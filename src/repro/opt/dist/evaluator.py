@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dist.evaluator import ShardedEvaluator
+from repro.dist.evaluator import ShardedEvaluator, tuned_or_default_evaluator
 from repro.dist.pool import DevicePool
 from repro.kernels.base import SpMVKernel
 from repro.kernels.plan import (
@@ -152,40 +152,14 @@ class DistributedObjectiveEvaluator:
         self.matrix = matrix
         self.kernel = kernel
         with trace_span("opt.dist.compile", shards=n_shards):
-            # A warm tuning-cache entry for this structure upgrades the
-            # forward evaluator's configuration transparently; lookup
-            # only — the optimization service never tunes inline.
-            # Imported lazily: repro.tune depends on repro.dist.
-            from repro.tune.autotuner import tuned_config_for
-
-            fwd_devices = (
-                pool.n_devices if pool is not None else min(n_shards, 4)
+            self.forward = tuned_or_default_evaluator(
+                matrix,
+                kernel,
+                n_shards,
+                pool=pool,
+                placement=placement,
+                retry_budget=retry_budget,
             )
-            tuned = tuned_config_for(
-                matrix, kernel, n_devices=fwd_devices
-            )
-            if tuned is not None:
-                metrics.counter("opt.dist.evaluators_tuned").inc()
-                self.forward = ShardedEvaluator(
-                    matrix,
-                    kernel,
-                    tuned.n_shards,
-                    pool=pool,
-                    placement=tuned.placement,
-                    shard_policy=tuned.shard_policy,
-                    retry_budget=retry_budget,
-                    dispatch=tuned.dispatch,
-                    threads_per_block=tuned.threads_per_block,
-                )
-            else:
-                self.forward = ShardedEvaluator(
-                    matrix,
-                    kernel,
-                    n_shards,
-                    pool=pool,
-                    placement=placement,
-                    retry_budget=retry_budget,
-                )
             # The transpose's bits are a pure function of the forward
             # matrix's (stable counting sort), so local and sharded
             # evaluators agree on the adjoint operand exactly.

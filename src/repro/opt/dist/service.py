@@ -8,9 +8,12 @@ Every iteration's **forward** product is submitted as an ordinary
 :class:`~repro.serve.request.EvaluationRequest`, so forward doses from
 concurrent optimizations of the *same plan* coalesce into one SpMM
 micro-batch exactly like clinical traffic (and, with ``shards > 1``,
-run through the sharded backend).  The **adjoint** product runs on a
-per-(plan, precision) sharded evaluator over the explicitly transposed
-matrix, compiled once and shared by every optimization of that plan.
+run through the sharded backend).  The **adjoint** product runs on the
+adjoint evaluator of the serve plan-cache entry for that (plan,
+precision) — a sharded evaluator over the explicitly transposed matrix,
+built on first request, shared by every optimization of the plan, and
+evicted with the entry's converted matrix.  Opt state per plan is
+therefore bounded by the serve layer's ``plan_cache_capacity``.
 
 Scheduling is cooperative: a worker advances one optimization by
 ``quantum`` iterations, then requeues it at the tail, so long
@@ -44,11 +47,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dist.evaluator import ShardedEvaluator
-from repro.dist.pool import DevicePool
-from repro.kernels.base import SpMVKernel
 from repro.kernels.dispatch import make_kernel
-from repro.kernels.plan import TransposePlan, compile_transpose_plan
 from repro.obs import artifact, metrics
 from repro.obs.clock import Clock, get_clock
 from repro.obs.lockwitness import guarded_lock
@@ -216,32 +215,21 @@ class OptServiceConfig:
     eval_timeout_s: float = 60.0
 
 
-@dataclass
-class _PlanEngine:
-    """Per-(plan, precision) machinery shared by its optimizations."""
-
-    kernel: SpMVKernel
-    matrix: CSRMatrix  # kernel-precision converted matrix
-    n_weights: int
-    #: single-device adjoint (shards == 1): the first-class transpose plan.
-    tplan: Optional[TransposePlan]
-    #: sharded adjoint (shards > 1).
-    adjoint: Optional[ShardedEvaluator]
-
-
 class _ServedObjectiveEvaluator:
     """``(f, ∇f)`` backend routing forwards through the micro-batcher.
 
     Implements the loop's ``ObjectiveEvaluator`` protocol for one
     optimization task: forward dose via a served
     :class:`EvaluationRequest` (bitwise equal to stand-alone evaluation
-    — the serve contract), adjoint via the plan's shared engine.
+    — the serve contract), adjoint via the plan-cache entry's adjoint
+    evaluator, looked up afresh on every evaluation so an evicted entry
+    is rebuilt rather than pinned.
     """
 
     def __init__(
         self,
         service: DoseEvaluationService,
-        engine: _PlanEngine,
+        n_weights: int,
         plan_id: str,
         precision: str,
         tenant: str,
@@ -250,7 +238,7 @@ class _ServedObjectiveEvaluator:
         timeout_s: float,
     ) -> None:
         self._service = service
-        self._engine = engine
+        self._n_weights = n_weights
         self._plan_id = plan_id
         self._precision = precision
         self._tenant = tenant
@@ -261,7 +249,7 @@ class _ServedObjectiveEvaluator:
 
     @property
     def n_weights(self) -> int:
-        return self._engine.n_weights
+        return self._n_weights
 
     @property
     def n_shards(self) -> int:
@@ -293,26 +281,14 @@ class _ServedObjectiveEvaluator:
         assert isinstance(outcome, EvaluationResult)
         dose = outcome.dose
         value, grad_d = objective.value_and_gradient(dose)
-        engine = self._engine
-        if engine.adjoint is not None:
-            adj = engine.adjoint.evaluate(grad_d)
-            gradient = adj.doses
-            adjoint_time = adj.wall_time_s
-            retries = adj.retries
-        else:
-            assert engine.tplan is not None
-            result = engine.kernel.run(
-                engine.tplan.matrix, grad_d, plan=engine.tplan.plan
-            )
-            gradient = result.y
-            adjoint_time = result.timing.time_s
-            retries = 0
+        entry = self._service.plan_entry(self._plan_id, self._precision)
+        adj = entry.adjoint().evaluate(grad_d)
         return ObjectiveEvaluation(
             value=float(value),
-            gradient=gradient,
+            gradient=adj.doses,
             dose=dose,
-            modeled_time_s=outcome.modeled_time_s + adjoint_time,
-            retries=retries,
+            modeled_time_s=outcome.modeled_time_s + adj.wall_time_s,
+            retries=adj.retries,
         )
 
 
@@ -366,10 +342,6 @@ class OptimizationService:
         self._ready: Deque[_OptTask] = deque()
         self._tasks: Dict[str, _OptTask] = {}
         self._stopping = False
-        self._engines_lock = guarded_lock(  # analyze: lock-guards[_engines]
-            "opt.service.engines"
-        )
-        self._engines: Dict[Tuple[str, str], _PlanEngine] = {}
         self._accounting = guarded_lock(  # analyze: lock-guards[_budget_left, _terminal_counts, _iterations_total, _evals_total]
             "opt.service.accounting"
         )
@@ -431,7 +403,7 @@ class OptimizationService:
         self.stop()
 
     # ------------------------------------------------------------------ #
-    # plans and engines
+    # plans
     # ------------------------------------------------------------------ #
 
     def register_plan(self, plan_id: str, matrix: CSRMatrix,
@@ -443,52 +415,6 @@ class OptimizationService:
                       preset: str = "tiny") -> None:
         """Register one of the paper's Table I cases."""
         self.plans.register_case(plan_id, case_name, preset)
-
-    def _engine_for(self, plan_id: str, precision: str) -> _PlanEngine:
-        """The shared per-(plan, precision) engine (single-flight build)."""
-        key = (plan_id, precision)
-        with self._engines_lock:
-            engine = self._engines.get(key)
-            if engine is not None:
-                return engine
-            record = self.plans.get(plan_id)
-            if record is None:
-                raise OptServeError(f"plan {plan_id!r} disappeared")
-            from repro.bench.harness import convert_for_kernel
-
-            kernel = make_kernel(precision)
-            matrix = convert_for_kernel(record.matrix, precision)
-            # Build under the lock on purpose (single-flight): two
-            # optimizations racing for one plan must share one adjoint
-            # evaluator, and compilation is bounded CPU work.
-            if self.config.shards > 1:
-                adjoint: Optional[ShardedEvaluator] = ShardedEvaluator(  # analyze: allow[RL504] -- deliberate single-flight: compiling under the lock guarantees one engine per (plan, precision); bounded CPU work, no I/O
-                    matrix.transposed(),
-                    kernel,
-                    self.config.shards,
-                    pool=DevicePool.homogeneous(
-                        self.config.dist_devices
-                        or min(self.config.shards, 4)
-                    ),
-                    placement=self.config.placement,
-                )
-                tplan = None
-            else:
-                adjoint = None
-                tplan = compile_transpose_plan(  # analyze: allow[RL504] -- deliberate single-flight (see above)
-                    matrix,
-                    kernel.plan_family,
-                    kernel.precision.accumulate.dtype,
-                )
-            engine = _PlanEngine(
-                kernel=kernel,
-                matrix=matrix,
-                n_weights=matrix.n_cols,
-                tplan=tplan,
-                adjoint=adjoint,
-            )
-            self._engines[key] = engine
-            return engine
 
     # ------------------------------------------------------------------ #
     # submission / preemption
@@ -502,35 +428,38 @@ class OptimizationService:
         rejection = self._validate(request)
         if rejection is None:
             # Admission pressure (stopping / duplicate / full) is checked
-            # before the engine build so requests destined for rejection
-            # never pay plan-compilation cost or populate the engine
-            # cache while the service is stopping.
+            # before the plan-cache lookup so requests destined for
+            # rejection never convert a plan or populate the cache.
             with self._queue_cond:
                 rejection = self._admission_reject(request)
         if rejection is not None:
             metrics.counter("opt.service.rejected").inc()
             return rejection
-        engine = self._engine_for(request.plan_id, request.precision)
+        # The objective's ROIs derive from the converted matrix's bits;
+        # the operators stay in the entry, for the evaluations to use.
+        matrix = self._inner.plan_entry(
+            request.plan_id, request.precision
+        ).matrix
         if request.w0 is not None:
             w0 = np.asarray(request.w0, dtype=np.float64)
-            if w0.shape != (engine.n_weights,):
+            if w0.shape != (matrix.n_cols,):
                 metrics.counter("opt.service.rejected").inc()
                 return OptRejected(
                     request.opt_id, OptRejectReason.BAD_REQUEST,
                     f"w0 has shape {w0.shape}, plan needs "
-                    f"({engine.n_weights},)",
+                    f"({matrix.n_cols},)",
                 )
         ticket = OptTicket(opt_id=request.opt_id)
         evaluator = _ServedObjectiveEvaluator(
-            self._inner, engine, request.plan_id, request.precision,
+            self._inner, matrix.n_cols, request.plan_id, request.precision,
             request.tenant, request.opt_id, self.config.shards,
             self.config.eval_timeout_s,
         )
-        objective = build_objective(request.objective, engine.matrix)
+        objective = build_objective(request.objective, matrix)
         task = _OptTask(request, ticket, objective, evaluator)
         with self._queue_cond:
             # Re-check under the lock: admission state may have changed
-            # while the engine was building.
+            # while the plan-cache entry was building.
             rejection = self._admission_reject(request)
             if rejection is None:
                 self._tasks[request.opt_id] = task

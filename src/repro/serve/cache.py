@@ -1,14 +1,20 @@
-"""Plan registry and bounded plan-matrix cache.
+"""Plan registry and the bounded plan cache.
 
 A *plan* is a registered deposition matrix (float32 CSR master copy).
 Kernels consume derived representations — half-precision CSR, ELLPACK,
 SELL-C-sigma, RSCF — and deriving them is exactly the conversion cost
-the paper's Section VI measures, so the service keeps a bounded LRU of
-``(plan_id, precision) -> prepared matrix`` in front of the kernel pool.
+the paper's Section VI measures.  Every operator the services run is
+compiled from that converted matrix, so one bounded LRU keyed
+``(plan_id, precision)`` holds a :class:`PlanEntry` per pair: the
+converted matrix, its kernel, the forward operator and, from the first
+request on, the adjoint.  Because matrix and operators are created and
+evicted together, no operator can outlive the matrix it was compiled
+from, and serving and optimization share one converted copy.
 
 Admission control happens at registration (only registered plans are
 servable) and at the cache boundary (the LRU cap bounds resident
-converted matrices; eviction is reconversion cost, not correctness).
+entries; eviction is reconversion and recompilation cost, not
+correctness).
 The cache reuses the bench harness's :class:`~repro.bench.harness.
 LRUCache` — same single-flight semantics, same hit/miss/eviction
 metrics, reported under ``serve.plan_cache.*``.
@@ -17,11 +23,14 @@ metrics, reported under ``serve.plan_cache.*``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.bench.harness import LRUCache, convert_for_kernel
+from repro.dist.backend import ShardedServeBackend
+from repro.dist.evaluator import ShardedEvaluator
+from repro.kernels.base import SpMVKernel
 from repro.kernels.dispatch import make_kernel
-from repro.kernels.plan import SpMVPlan
+from repro.kernels.plan import SpMVPlan, compile_plan
 from repro.obs.lockwitness import guarded_lock
 from repro.obs.trace import span as trace_span
 from repro.serve.request import ServeError
@@ -90,91 +99,109 @@ class PlanStore:
             return len(self._plans)
 
 
-class PlanMatrixCache:
-    """Bounded LRU of kernel-ready matrices, keyed (plan_id, precision).
+class PlanEntry:
+    """One (plan, precision): the converted matrix and every operator
+    compiled from it, created and evicted together.
 
-    A second LRU with the same single-flight semantics holds *compiled
-    execution plans* (:class:`repro.kernels.plan.SpMVPlan`) next to the
-    converted matrices, so a hot plan pays format conversion **and**
-    plan compilation exactly once across all workers; its metrics are
-    reported under ``serve.exec_plan_cache.*``.
+    ``matrix`` is in the kernel's storage format (CSR, ELLPACK,
+    SELL-C-sigma or RSCF).  ``forward`` evaluates ``A @ W``: a compiled
+    :class:`SpMVPlan` at one shard, the backend's sharded evaluator
+    above one, and ``None`` for kernels without a compiled-plan family
+    (they run per call).  The adjoint ``A^T @ r`` is built on first
+    request by :meth:`adjoint`.
+    """
+
+    def __init__(
+        self,
+        kernel: SpMVKernel,
+        matrix: Any,
+        forward: Union[SpMVPlan, ShardedEvaluator, None],
+        backend: ShardedServeBackend,
+    ) -> None:
+        self.kernel = kernel
+        self.matrix = matrix
+        self.forward = forward
+        self._backend = backend
+        self._lock = guarded_lock(  # analyze: lock-guards[_adjoint]
+            "serve.cache.PlanEntry"
+        )
+        self._adjoint: Optional[ShardedEvaluator] = None
+
+    def adjoint(self) -> ShardedEvaluator:
+        """The ``A^T`` evaluator at the backend's shard count.
+
+        Built once, on first request, under this entry's lock: callers
+        of the same entry wait for the one build, other entries never
+        do.  A failed build leaves the slot empty for the next caller.
+        """
+        with self._lock:
+            if self._adjoint is None:
+                self._adjoint = self._backend.adjoint_evaluator(  # analyze: allow[RL504] -- per-entry single-flight: compiling under this entry's own lock builds one adjoint per (plan, precision) and blocks no other entry; bounded CPU work, no I/O
+                    self.matrix, self.kernel
+                )
+            return self._adjoint
+
+
+class PlanMatrixCache:
+    """Bounded LRU of :class:`PlanEntry`, keyed (plan_id, precision).
+
+    A hot plan pays format conversion and forward compilation exactly
+    once across all workers and every caller (serving batches, the
+    optimization service's adjoints); an evicted entry takes its
+    operators with it and is rebuilt bit for bit on the next request.
     """
 
     def __init__(self, store: PlanStore, capacity: int = 8,
-                 plan_capacity: Optional[int] = None) -> None:
+                 backend: Optional[ShardedServeBackend] = None) -> None:
         self._store = store
-        self._lru: LRUCache[Tuple[str, str], object] = LRUCache(
+        self._backend = backend or ShardedServeBackend(shards=1)
+        self._lru: LRUCache[Tuple[str, str], PlanEntry] = LRUCache(
             "plan_cache", capacity, metric_prefix="serve"
-        )
-        self._exec_plans: LRUCache[Tuple[str, str], SpMVPlan] = LRUCache(
-            "exec_plan_cache", plan_capacity or capacity,
-            metric_prefix="serve",
         )
 
     def materialize(
         self, plan_id: str, precision: str
-    ) -> Tuple[object, bool]:
-        """The kernel-ready matrix for one (plan, precision) pair.
+    ) -> Tuple[PlanEntry, bool]:
+        """The entry for one (plan, precision) pair.
 
-        Returns ``(matrix, cache_hit)``.  Conversion is single-flighted:
+        Returns ``(entry, cache_hit)``.  Building is single-flighted:
         concurrent workers asking for the same pair trigger one
-        conversion.  Raises :class:`ServeError` for unknown plans (the
-        service normally rejects those at submit time; this guards the
-        execution path).
+        conversion and one compilation.  Raises :class:`ServeError` for
+        unknown plans (the service normally rejects those at submit
+        time; this guards the execution path).
         """
         record = self._store.get(plan_id)
         if record is None:
             raise ServeError(f"plan {plan_id!r} is not registered")
         built_here: List[bool] = []
 
-        def build() -> object:
+        def build() -> PlanEntry:
             built_here.append(True)
+            kernel = make_kernel(precision)
             with trace_span("serve.plan_convert", plan=plan_id,
                             precision=precision):
-                return convert_for_kernel(record.matrix, precision)
+                matrix = convert_for_kernel(record.matrix, precision)
+            forward: Union[SpMVPlan, ShardedEvaluator, None] = None
+            if hasattr(kernel, "plan_family"):
+                with trace_span("serve.plan_compile", plan=plan_id,
+                                precision=precision,
+                                shards=self._backend.shards):
+                    if self._backend.shards > 1:
+                        forward = self._backend.forward_evaluator(
+                            matrix, kernel
+                        )
+                    else:
+                        forward = compile_plan(
+                            matrix, kernel.plan_family,
+                            kernel.precision.accumulate.dtype,
+                        )
+            return PlanEntry(kernel, matrix, forward, self._backend)
 
-        matrix = self._lru.get_or_create((plan_id, precision), build)
-        return matrix, not built_here
-
-    def materialize_with_plan(
-        self, plan_id: str, precision: str
-    ) -> Tuple[object, Optional[SpMVPlan], bool, Optional[bool]]:
-        """Matrix plus compiled execution plan for one (plan, precision).
-
-        Returns ``(matrix, exec_plan, matrix_hit, plan_hit)``.  For
-        kernels without a plan family (libraries, baselines, RSCF
-        formats) ``exec_plan`` and ``plan_hit`` are ``None`` and the
-        caller falls back to the per-call path.  Plan compilation is
-        single-flighted like matrix conversion.
-        """
-        matrix, matrix_hit = self.materialize(plan_id, precision)
-        kernel = make_kernel(precision)
-        if not hasattr(kernel, "prepare_plan"):
-            return matrix, None, matrix_hit, None
-        built_here: List[bool] = []
-
-        def build() -> SpMVPlan:
-            built_here.append(True)
-            with trace_span("serve.plan_compile", plan=plan_id,
-                            precision=precision):
-                return kernel.prepare_plan(matrix)
-
-        key = (plan_id, precision)
-        exec_plan = self._exec_plans.get_or_create(key, build)
-        if not exec_plan.matches(matrix):
-            # The matrix LRU evicted and rebuilt the converted matrix
-            # since this plan was compiled; recompile against the live
-            # object and refresh the entry (counted as a miss).
-            built_here.append(True)
-            with trace_span("serve.plan_compile", plan=plan_id,
-                            precision=precision, recompiled=True):
-                exec_plan = kernel.prepare_plan(matrix)
-            self._exec_plans.put(key, exec_plan)
-        return matrix, exec_plan, matrix_hit, not built_here
+        entry = self._lru.get_or_create((plan_id, precision), build)
+        return entry, not built_here
 
     def __len__(self) -> int:
         return len(self._lru)
 
     def clear(self) -> None:
         self._lru.clear()
-        self._exec_plans.clear()

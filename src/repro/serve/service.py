@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.dist.backend import ShardedServeBackend
+from repro.dist.evaluator import ShardedEvaluator
 from repro.gpu.device import A100, DeviceSpec
 from repro.kernels.batched import run_multi_spmv
 from repro.kernels.dispatch import kernel_names, make_kernel
@@ -35,7 +37,7 @@ from repro.obs.clock import Clock, get_clock
 from repro.obs.lockwitness import guarded_lock
 from repro.obs.logging import get_logger, kv
 from repro.obs.trace import span as trace_span
-from repro.serve.cache import PlanMatrixCache, PlanStore
+from repro.serve.cache import PlanEntry, PlanMatrixCache, PlanStore
 from repro.serve.queue import RequestQueue
 from repro.serve.request import (
     EvaluationRequest,
@@ -85,8 +87,16 @@ class DoseEvaluationService:
         self.config = config or ServiceConfig()
         self._clock = clock or get_clock()
         self.plans = PlanStore()
+        self._backend = ShardedServeBackend(
+            shards=self.config.shards,
+            n_devices=self.config.dist_devices,
+            placement=self.config.dist_placement,
+            retry_budget=self.config.dist_retry_budget,
+            device_name=self.config.device.name,
+        )
         self._cache = PlanMatrixCache(
-            self.plans, capacity=self.config.plan_cache_capacity
+            self.plans, capacity=self.config.plan_cache_capacity,
+            backend=self._backend,
         )
         self._queue = RequestQueue(
             self.config.queue_capacity,
@@ -106,18 +116,6 @@ class DoseEvaluationService:
         )
         self._reproducible_kernels = self._probe_reproducible()
         self._shardable_kernels = self._probe_shardable()
-        self._dist_backend = None
-        if self.config.shards > 1:
-            from repro.dist.backend import ShardedServeBackend
-
-            self._dist_backend = ShardedServeBackend(
-                shards=self.config.shards,
-                n_devices=self.config.dist_devices,
-                placement=self.config.dist_placement,
-                retry_budget=self.config.dist_retry_budget,
-                capacity=self.config.plan_cache_capacity,
-                device_name=self.config.device.name,
-            )
         self._started = False
         self._stopped = False
         self._accounting = guarded_lock(  # analyze: lock-guards[modeled_batched_s, modeled_sequential_s, plan_cache_hits, plan_cache_misses]
@@ -126,7 +124,7 @@ class DoseEvaluationService:
         #: modelled kernel seconds, batched vs sequential (loadtest report).
         self.modeled_batched_s = 0.0
         self.modeled_sequential_s = 0.0
-        #: compiled-execution-plan cache outcomes (loadtest report).
+        #: plan-cache outcome of every executed batch (loadtest report).
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -251,6 +249,17 @@ class DoseEvaluationService:
             for h in handles
         ]
 
+    def plan_entry(self, plan_id: str, precision: str) -> PlanEntry:
+        """The plan-cache entry batches of this pair execute from.
+
+        Other services built on this one (plan optimization) take the
+        converted matrix and the adjoint from here, so one (plan,
+        precision) is converted and compiled once in the process.
+        Raises :class:`ServeError` for unknown plans.
+        """
+        entry, _ = self._cache.materialize(plan_id, precision)
+        return entry
+
     # ------------------------------------------------------------------ #
     # scenario ensembles (delegates to repro.serve.ensemble)
     # ------------------------------------------------------------------ #
@@ -293,41 +302,23 @@ class DoseEvaluationService:
     def _execute_batch(self, batch: Batch, worker_name: str) -> None:
         started = self._clock.monotonic()
         try:
-            if self._dist_backend is not None:
-                # Sharded path: the dist backend owns per-shard plan
-                # compilation, so only the converted matrix is needed.
-                matrix, cache_hit = self._cache.materialize(
-                    batch.plan_id, batch.precision
-                )
-                plan_hit = None
+            entry, cache_hit = self._cache.materialize(
+                batch.plan_id, batch.precision
+            )
+            weights = [t.request.weights for t in batch.tickets]
+            forward = entry.forward
+            if isinstance(forward, ShardedEvaluator):
                 with trace_span("serve.dist_spmm", plan=batch.plan_id,
                                 precision=batch.precision, size=len(batch),
                                 shards=self.config.shards):
-                    result = self._dist_backend.run_batch(
-                        batch.plan_id, batch.precision, matrix,
-                        [t.request.weights for t in batch.tickets],
-                    )
+                    result = self._backend.run_batch(forward, weights)
             else:
-                if hasattr(self._cache, "materialize_with_plan"):
-                    matrix, exec_plan, cache_hit, plan_hit = (
-                        self._cache.materialize_with_plan(
-                            batch.plan_id, batch.precision
-                        )
-                    )
-                else:  # matrix-only cache (tests stub these)
-                    matrix, cache_hit = self._cache.materialize(
-                        batch.plan_id, batch.precision
-                    )
-                    exec_plan, plan_hit = None, None
-                kernel = make_kernel(batch.precision)
                 with trace_span("serve.spmm", plan=batch.plan_id,
                                 precision=batch.precision, size=len(batch),
-                                plan_cached=plan_hit):
+                                cache_hit=cache_hit):
                     result = run_multi_spmv(
-                        kernel, matrix,
-                        [t.request.weights for t in batch.tickets],
-                        device=self.config.device,
-                        plan=exec_plan,
+                        entry.kernel, entry.matrix, weights,
+                        device=self.config.device, plan=forward,
                     )
         except BaseException as exc:
             detail = f"{type(exc).__name__}: {exc}"
@@ -341,11 +332,10 @@ class DoseEvaluationService:
         with self._accounting:
             self.modeled_batched_s += result.batched_time_s
             self.modeled_sequential_s += result.unbatched_time_s
-            if plan_hit is not None:
-                if plan_hit:
-                    self.plan_cache_hits += 1
-                else:
-                    self.plan_cache_misses += 1
+            if cache_hit:
+                self.plan_cache_hits += 1
+            else:
+                self.plan_cache_misses += 1
         if artifact.enabled():
             artifact.record(
                 "serve_batch",
@@ -358,8 +348,7 @@ class DoseEvaluationService:
                 ),
                 worker=worker_name,
                 cache_hit=cache_hit,
-                plan_cache_hit=plan_hit,
-                shards=getattr(result, "shards", 1),
+                shards=result.shards,
                 batched_time_s=result.batched_time_s,
                 unbatched_time_s=result.unbatched_time_s,
             )
@@ -378,7 +367,7 @@ class DoseEvaluationService:
                 latency_s=resolved_at - ticket.submitted_at,
                 worker=worker_name,
                 cache_hit=cache_hit,
-                shards=getattr(result, "shards", 1),
+                shards=result.shards,
             ))
 
     # ------------------------------------------------------------------ #

@@ -14,6 +14,7 @@ from repro.dist.backend import ShardedServeBackend
 from repro.dist.executor import FailureInjector
 from repro.kernels.batched import run_multi_spmv
 from repro.kernels.dispatch import make_kernel
+from repro.serve.cache import PlanMatrixCache, PlanStore
 from repro.serve.loadgen import LoadTestConfig, run_loadtest
 from repro.serve.request import (
     EvaluationRequest,
@@ -45,41 +46,34 @@ class TestShardedServeBackend:
         backend = ShardedServeBackend(shards=3, n_devices=2)
         rng = make_rng(stable_seed("dist-serve-batch", 1))
         vectors = [rng.random(N_SPOTS) for _ in range(6)]
-        sharded = backend.run_batch("plan-a", "half_double", converted, vectors)
         kernel = make_kernel("half_double")
+        sharded = backend.run_batch(
+            backend.forward_evaluator(converted, kernel), vectors
+        )
         single = run_multi_spmv(kernel, converted, vectors)
         assert sharded.shards == 3
         assert single.shards == 1
         for got, want in zip(sharded.per_vector, single.per_vector):
             assert np.array_equal(got.y, want.y)
 
-    def test_evaluator_cached_across_batches(self, converted):
+    def test_evaluator_cached_across_batches(self, master):
         backend = ShardedServeBackend(shards=2)
+        store = PlanStore()
+        store.register("plan-a", master)
+        cache = PlanMatrixCache(store, backend=backend)
         rng = make_rng(stable_seed("dist-serve-cache", 2))
-        first = backend.evaluator_for("plan-a", "half_double", converted)
-        backend.run_batch(
-            "plan-a", "half_double", converted, [rng.random(N_SPOTS)]
-        )
-        assert (
-            backend.evaluator_for("plan-a", "half_double", converted) is first
-        )
-
-    def test_evaluator_rebuilt_when_matrix_object_changes(self, master):
-        backend = ShardedServeBackend(shards=2)
-        first_obj = convert_for_kernel(master, "half_double")
-        second_obj = convert_for_kernel(master, "half_double")
-        a = backend.evaluator_for("plan-a", "half_double", first_obj)
-        b = backend.evaluator_for("plan-a", "half_double", second_obj)
-        assert a is not b
-        assert b.matches(second_obj)
+        first = cache.materialize("plan-a", "half_double")[0].forward
+        backend.run_batch(first, [rng.random(N_SPOTS)])
+        assert cache.materialize("plan-a", "half_double")[0].forward is first
 
     def test_batched_accounting(self, converted):
         backend = ShardedServeBackend(shards=4, n_devices=2)
         rng = make_rng(stable_seed("dist-serve-timing", 3))
         vectors = [rng.random(N_SPOTS) for _ in range(8)]
-        result = backend.run_batch(
-            "plan-a", "half_double", converted, vectors
+        evaluator = backend.forward_evaluator(
+            converted, make_kernel("half_double")
         )
+        result = backend.run_batch(evaluator, vectors)
         assert result.spmm
         assert result.batched_time_s < result.unbatched_time_s
 
@@ -87,10 +81,12 @@ class TestShardedServeBackend:
         backend = ShardedServeBackend(shards=4, retry_budget=2)
         rng = make_rng(stable_seed("dist-serve-inject", 4))
         vectors = [rng.random(N_SPOTS) for _ in range(3)]
-        clean = backend.run_batch("plan-a", "half_double", converted, vectors)
+        evaluator = backend.forward_evaluator(
+            converted, make_kernel("half_double")
+        )
+        clean = backend.run_batch(evaluator, vectors)
         failed = backend.run_batch(
-            "plan-a", "half_double", converted, vectors,
-            injector=FailureInjector.fail_once(1),
+            evaluator, vectors, injector=FailureInjector.fail_once(1),
         )
         for got, want in zip(failed.per_vector, clean.per_vector):
             assert np.array_equal(got.y, want.y)

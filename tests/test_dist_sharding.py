@@ -1,6 +1,5 @@
-"""Sharding, device pools, placement, and the deterministic merge."""
+"""Sharding, device pools, placement, and the shard retry budget."""
 
-import numpy as np
 import pytest
 
 from repro.dist.executor import (
@@ -10,7 +9,6 @@ from repro.dist.executor import (
     ShardExecutionError,
     run_shard_with_retry,
 )
-from repro.dist.merge import merge_shard_outputs, tree_merge
 from repro.dist.pool import (
     DevicePool,
     Placement,
@@ -132,47 +130,6 @@ class TestPlacement:
     def test_assignment_bounds_validated(self):
         with pytest.raises(ShapeError):
             Placement(policy="round_robin", assignments=(0, 2), n_devices=2)
-
-
-class TestTreeMerge:
-    @pytest.mark.parametrize("n_parts", [1, 2, 3, 4, 5, 7, 8])
-    def test_equals_flat_concatenate(self, rng, n_parts):
-        parts = [rng.random(int(rng.integers(1, 9))) for _ in range(n_parts)]
-        np.testing.assert_array_equal(tree_merge(parts), np.concatenate(parts))
-
-    def test_two_dimensional_blocks(self, rng):
-        parts = [rng.random((4, 3)), rng.random((2, 3)), rng.random((5, 3))]
-        np.testing.assert_array_equal(
-            tree_merge(parts), np.concatenate(parts, axis=0)
-        )
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ShapeError):
-            tree_merge([])
-
-
-class TestMergeShardOutputs:
-    def test_out_of_order_parts_merge_by_index(self, rng):
-        blocks = [rng.random(4) for _ in range(4)]
-        shuffled = [(2, blocks[2]), (0, blocks[0]), (3, blocks[3]),
-                    (1, blocks[1])]
-        np.testing.assert_array_equal(
-            merge_shard_outputs(shuffled), np.concatenate(blocks)
-        )
-
-    def test_duplicate_index_rejected(self, rng):
-        a = rng.random(3)
-        with pytest.raises(ShapeError):
-            merge_shard_outputs([(0, a), (0, a)])
-
-    def test_gap_in_indices_rejected(self, rng):
-        a = rng.random(3)
-        with pytest.raises(ShapeError):
-            merge_shard_outputs([(0, a), (2, a)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            merge_shard_outputs([])
 
 
 class TestRetry:

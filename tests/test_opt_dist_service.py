@@ -15,6 +15,7 @@ from repro.opt.dist import (
     OptRejectReason,
     OptServeError,
     OptServiceConfig,
+    OptTicket,
     TerminalState,
     audit_optimization,
     restore_state,
@@ -45,6 +46,22 @@ def _request(opt_id="o1", **overrides):
     return OptimizationRequest(**defaults)
 
 
+def _assert_reference_trajectory(outcome, master, opt_id, seed):
+    """``outcome`` replays the stand-alone reference bit for bit."""
+    from repro.bench.harness import convert_for_kernel
+
+    assert isinstance(outcome, OptimizationOutcome)
+    matrix = convert_for_kernel(master, "half_double")
+    reference = run_reference(
+        matrix, "half_double", UNIFORM,
+        warm_start(seed, matrix.n_cols, opt_id),
+        tolerance=1e-9, max_iterations=6,
+    )
+    assert [p.key() for p in outcome.points] == [
+        p.key() for p in reference.points
+    ]
+
+
 @pytest.fixture()
 def service(master):
     svc = OptimizationService(
@@ -67,21 +84,16 @@ class TestOutcomes:
         assert outcome.checkpoint["schema"] == CHECKPOINT_SCHEMA
         assert ticket.done()
 
-    def test_trajectory_bitwise_equals_standalone(self, service, master):
-        from repro.bench.harness import convert_for_kernel
-
-        ticket = service.submit(_request(opt_id="o-bitwise", seed=3))
-        outcome = ticket.outcome(timeout=60.0)
-        assert isinstance(outcome, OptimizationOutcome)
-        matrix = convert_for_kernel(master, "half_double")
-        w0 = warm_start(3, matrix.n_cols, "o-bitwise")
-        reference = run_reference(
-            matrix, "half_double", UNIFORM, w0,
-            tolerance=1e-9, max_iterations=6,
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_trajectory_bitwise_equals_standalone(self, master, shards):
+        svc = OptimizationService(
+            OptServiceConfig(n_workers=2, serve_workers=1, shards=shards)
         )
-        assert [p.key() for p in outcome.points] == [
-            p.key() for p in reference.points
-        ]
+        svc.register_plan("p", master)
+        with svc:
+            ticket = svc.submit(_request(opt_id="o-bitwise", seed=3))
+            outcome = ticket.outcome(timeout=60.0)
+        _assert_reference_trajectory(outcome, master, "o-bitwise", 3)
 
     def test_concurrent_same_plan(self, service):
         tickets = [
@@ -270,8 +282,8 @@ class TestFailurePaths:
         assert rejected.value == before + 3
 
     def test_doomed_submit_builds_no_engine(self, master, rng):
-        # Requests rejected for admission pressure must not pay the
-        # per-(plan, precision) engine build (transpose + compile).
+        # Requests rejected for admission pressure must not build a
+        # plan-cache entry (conversion + compile) for their plan.
         other = make_random_csr(rng, n_rows=50, n_cols=20)
         svc = OptimizationService(
             OptServiceConfig(
@@ -287,9 +299,143 @@ class TestFailurePaths:
             full = svc.submit(_request(opt_id="x", plan_id="p2"))
             assert isinstance(full, OptRejected)
             assert full.reason is OptRejectReason.QUEUE_FULL
-            assert ("p2", "half_double") not in svc._engines
+            # Only p's entry (built for "hold") is resident, not p2's.
+            assert svc._inner.stats()["plan_cache_entries"] == 1.0
             svc.preempt("hold")
             ticket.outcome(timeout=60.0)
+
+
+class TestPlanCacheEntries:
+    """Opt state lives in the serve plan cache, one entry per plan."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_each_plan_converted_once(self, master, monkeypatch, shards):
+        import repro.bench.harness as harness
+        import repro.serve.cache as serve_cache
+
+        real = harness.convert_for_kernel
+        converted = []
+
+        def counting(matrix, kernel_name):
+            converted.append(kernel_name)
+            return real(matrix, kernel_name)
+
+        monkeypatch.setattr(harness, "convert_for_kernel", counting)
+        monkeypatch.setattr(serve_cache, "convert_for_kernel", counting)
+        svc = OptimizationService(
+            OptServiceConfig(n_workers=2, serve_workers=1, shards=shards)
+        )
+        svc.register_plan("p", master)
+        with svc:
+            tickets = [
+                svc.submit(_request(opt_id=f"once{i}", seed=i))
+                for i in range(2)
+            ]
+            outcomes = [t.outcome(timeout=60.0) for t in tickets]
+        assert all(isinstance(o, OptimizationOutcome) for o in outcomes)
+        assert converted == ["half_double"]
+
+    def test_slow_adjoint_build_blocks_no_other_submit(
+        self, master, rng, monkeypatch
+    ):
+        from repro.sparse.csr import CSRMatrix
+
+        other = make_random_csr(rng, n_rows=50, n_cols=20)
+        held = (master.n_rows, master.n_cols)
+        entered, release = threading.Event(), threading.Event()
+        real = CSRMatrix.transposed
+
+        def gated(matrix):
+            # Plan a's adjoint build stalls until released.
+            if (matrix.n_rows, matrix.n_cols) == held:
+                entered.set()
+                release.wait(30.0)
+            return real(matrix)
+
+        monkeypatch.setattr(CSRMatrix, "transposed", gated)
+        svc = OptimizationService(
+            OptServiceConfig(n_workers=2, serve_workers=1)
+        )
+        svc.register_plan("a", master)
+        svc.register_plan("b", other)
+        handles = {}
+
+        def submit(opt_id, plan_id):
+            handles[opt_id] = svc.submit(
+                _request(opt_id=opt_id, plan_id=plan_id, seed=1)
+            )
+
+        with svc:
+            first = threading.Thread(target=submit, args=("oa", "a"))
+            second = threading.Thread(target=submit, args=("ob", "b"))
+            try:
+                first.start()
+                assert entered.wait(30.0)
+                second.start()
+                second.join(5.0)
+                assert not second.is_alive()
+                assert isinstance(handles["ob"], OptTicket)
+            finally:
+                release.set()
+                first.join(30.0)
+                second.join(30.0)
+            outcomes = {
+                opt_id: ticket.outcome(timeout=60.0)
+                for opt_id, ticket in handles.items()
+            }
+        _assert_reference_trajectory(outcomes["oa"], master, "oa", 1)
+        _assert_reference_trajectory(outcomes["ob"], other, "ob", 1)
+
+    def test_evicted_entries_rebuild_bitwise(self, master, rng):
+        other = make_random_csr(rng, n_rows=50, n_cols=20)
+        svc = OptimizationService(
+            OptServiceConfig(
+                n_workers=2, serve_workers=1, plan_cache_capacity=1
+            )
+        )
+        svc.register_plan("a", master)
+        svc.register_plan("b", other)
+        with svc:
+            # Two plans through one slot: entries (matrix, forward and
+            # adjoint) are evicted and rebuilt while both optimize.
+            tickets = {
+                opt_id: svc.submit(
+                    _request(opt_id=opt_id, plan_id=plan_id, seed=2)
+                )
+                for opt_id, plan_id in (("ea", "a"), ("eb", "b"))
+            }
+            outcomes = {k: t.outcome(timeout=60.0) for k, t in tickets.items()}
+            assert svc._inner.stats()["plan_cache_entries"] <= 1.0
+        _assert_reference_trajectory(outcomes["ea"], master, "ea", 2)
+        _assert_reference_trajectory(outcomes["eb"], other, "eb", 2)
+
+    def test_adjoint_build_failure_fails_that_optimization(
+        self, service, monkeypatch
+    ):
+        from repro.sparse.csr import CSRMatrix
+
+        real = CSRMatrix.transposed
+        fail = threading.Event()
+        fail.set()
+
+        def flaky(matrix):
+            if fail.is_set():
+                raise RuntimeError("injected adjoint build failure")
+            return real(matrix)
+
+        monkeypatch.setattr(CSRMatrix, "transposed", flaky)
+        ticket = service.submit(_request(opt_id="adj-fail"))
+        assert isinstance(ticket, OptTicket)
+        outcome = ticket.outcome(timeout=30.0)
+        assert isinstance(outcome, OptimizationOutcome)
+        assert outcome.terminal is TerminalState.FAILED
+        assert "injected adjoint build failure" in outcome.detail
+        # The worker survived, and the next request builds the adjoint.
+        fail.clear()
+        healthy = service.submit(_request(opt_id="adj-ok"))
+        outcome = healthy.outcome(timeout=60.0)
+        assert isinstance(outcome, OptimizationOutcome)
+        assert outcome.terminal is not TerminalState.FAILED
 
 
 class TestTenantBudgets:

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.kernels.plan import compile_transpose_plan, execute_transpose_plan
 from repro.serve.cache import PlanMatrixCache, PlanStore
 from repro.serve.request import ServeError
 from repro.sparse.synth import dose_like
@@ -58,17 +59,17 @@ class TestPlanStore:
 class TestPlanMatrixCache:
     def test_miss_then_hit(self, store):
         cache = PlanMatrixCache(store, capacity=4)
-        m1, hit1 = cache.materialize("plan-a", "half_double")
-        m2, hit2 = cache.materialize("plan-a", "half_double")
+        e1, hit1 = cache.materialize("plan-a", "half_double")
+        e2, hit2 = cache.materialize("plan-a", "half_double")
         assert not hit1 and hit2
-        assert m1 is m2
-        assert m1.value_dtype == np.float16
+        assert e1 is e2
+        assert e1.matrix.value_dtype == np.float16
 
     def test_precisions_cached_separately(self, store):
         cache = PlanMatrixCache(store, capacity=4)
         half, _ = cache.materialize("plan-a", "half_double")
         single, _ = cache.materialize("plan-a", "single")
-        assert half is not single
+        assert half.matrix is not single.matrix
         assert len(cache) == 2
 
     def test_unknown_plan_raises(self, store):
@@ -95,9 +96,9 @@ class TestPlanMatrixCache:
 
         def worker():
             barrier.wait()
-            matrix, hit = cache.materialize("plan-a", "half_double")
+            entry, hit = cache.materialize("plan-a", "half_double")
             with results_lock:
-                results.append((matrix, hit))
+                results.append((entry.matrix, hit))
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:
@@ -111,38 +112,34 @@ class TestPlanMatrixCache:
 
 
 class TestMaterializeWithPlan:
+    """The entry's compiled operators live and die with its matrix."""
+
     def test_plan_compiled_once_then_hit(self, store):
         cache = PlanMatrixCache(store, capacity=4)
-        m1, p1, mhit1, phit1 = cache.materialize_with_plan(
-            "plan-a", "half_double"
-        )
-        m2, p2, mhit2, phit2 = cache.materialize_with_plan(
-            "plan-a", "half_double"
-        )
-        assert not phit1 and phit2
-        assert p1 is p2
-        assert p1.matches(m1) and m1 is m2
+        e1, hit1 = cache.materialize("plan-a", "half_double")
+        e2, hit2 = cache.materialize("plan-a", "half_double")
+        assert not hit1 and hit2
+        assert e1.forward is e2.forward
+        assert e1.forward.matches(e1.matrix) and e1.matrix is e2.matrix
 
     def test_kernel_without_plan_family_returns_none(self, store):
         cache = PlanMatrixCache(store, capacity=4)
-        matrix, plan, mhit, phit = cache.materialize_with_plan(
-            "plan-a", "gpu_baseline"
-        )
-        assert plan is None and phit is None
+        entry, _ = cache.materialize("plan-a", "gpu_baseline")
+        assert entry.forward is None
 
     def test_plan_recompiled_after_matrix_rebuild(self, store, master):
         store.register("plan-b", master)
-        # Matrix LRU of one entry, plan LRU big enough to go stale.
-        cache = PlanMatrixCache(store, capacity=1, plan_capacity=8)
-        cache.materialize_with_plan("plan-a", "half_double")
-        cache.materialize_with_plan("plan-b", "half_double")  # evicts a
-        # plan-a's matrix is rebuilt as a new object; the cached compiled
-        # plan is stale and must be recompiled against the live matrix.
-        matrix, plan, mhit, phit = cache.materialize_with_plan(
-            "plan-a", "half_double"
+        cache = PlanMatrixCache(store, capacity=1)
+        first, _ = cache.materialize("plan-a", "half_double")
+        cache.materialize("plan-b", "half_double")  # evicts a
+        # plan-a's matrix is rebuilt as a new object, and its plan is
+        # compiled again against the live matrix along with it.
+        entry, hit = cache.materialize("plan-a", "half_double")
+        assert not hit
+        assert entry.matrix is not first.matrix
+        assert entry.forward is not None and entry.forward.matches(
+            entry.matrix
         )
-        assert not mhit and not phit
-        assert plan is not None and plan.matches(matrix)
 
     def test_concurrent_plan_compile_single_flight(self, store):
         cache = PlanMatrixCache(store, capacity=4)
@@ -153,25 +150,34 @@ class TestMaterializeWithPlan:
 
         def worker():
             barrier.wait()
-            _, plan, _, phit = cache.materialize_with_plan(
-                "plan-a", "half_double"
-            )
+            entry, hit = cache.materialize("plan-a", "half_double")
             with results_lock:
-                results.append((plan, phit))
+                results.append((entry.forward, hit))
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert sum(1 for _, phit in results if not phit) == 1
+        assert sum(1 for _, hit in results if not hit) == 1
         assert len({id(p) for p, _ in results}) == 1
 
     def test_clear_drops_plans_too(self, store):
         cache = PlanMatrixCache(store, capacity=4)
-        cache.materialize_with_plan("plan-a", "half_double")
+        first, _ = cache.materialize("plan-a", "half_double")
         cache.clear()
-        _, _, mhit, phit = cache.materialize_with_plan(
-            "plan-a", "half_double"
+        entry, hit = cache.materialize("plan-a", "half_double")
+        assert not hit
+        assert entry.forward is not first.forward
+
+    def test_adjoint_built_once_equals_transpose_plan(self, store):
+        cache = PlanMatrixCache(store, capacity=4)
+        entry, _ = cache.materialize("plan-a", "half_double")
+        adjoint = entry.adjoint()
+        assert entry.adjoint() is adjoint
+        assert adjoint.n_shards == 1
+        r = np.linspace(0.0, 1.0, entry.matrix.n_rows)
+        reference = execute_transpose_plan(
+            compile_transpose_plan(entry.matrix), r
         )
-        assert not mhit and not phit
+        assert np.array_equal(adjoint.evaluate(r).doses, reference)

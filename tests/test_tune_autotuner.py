@@ -169,12 +169,12 @@ class TestWiring:
             cache=cache,
             candidates=SMALL_SPACE,
         ).entry
-        evaluator = backend.evaluator_for("plan-x", kernel.name, matrix)
+        evaluator = backend.forward_evaluator(matrix, kernel)
         assert evaluator.n_shards == entry.config.n_shards
 
     def test_serve_backend_cold_cache_uses_defaults(self, matrix, kernel):
         from repro.dist.backend import ShardedServeBackend
 
         backend = ShardedServeBackend(shards=3)
-        evaluator = backend.evaluator_for("plan-y", kernel.name, matrix)
+        evaluator = backend.forward_evaluator(matrix, kernel)
         assert evaluator.n_shards == 3
