@@ -55,6 +55,7 @@ from repro.gpu.timing import (
 from repro.kernels.base import SpMVKernel
 from repro.kernels.plan import (
     ShardedPlan,
+    cast_weights,
     compile_sharded_plan,
     execute_plan_into,
     execute_plan_multi_into,
@@ -446,7 +447,7 @@ class ShardedEvaluator:
             # merge-ordered slice into (zero-copy merge).
             out = np.zeros((self.n_rows, B), dtype=np.float64)
             if B == 1:
-                xa = arrays[0].astype(accum, copy=False)
+                xa = cast_weights(arrays[0], accum)
                 for shard in self._execution_order():
                     s = self.plan.slices[shard.index]
                     run_shard_with_retry(
@@ -461,18 +462,14 @@ class ShardedEvaluator:
                         injector,
                     )
             else:
-                xt = np.empty((B, self.n_cols), dtype=accum)
-                for b, w in enumerate(arrays):
-                    xt[b] = w.astype(accum, copy=False)
+                X = cast_weights(arrays, accum)
                 for shard in self._execution_order():
                     s = self.plan.slices[shard.index]
                     run_shard_with_retry(
                         shard.index,
                         shard.device.name,
                         lambda sl=s: execute_plan_multi_into(
-                            sl.plan,
-                            xt,
-                            out[sl.row_start : sl.row_end, :].T,
+                            sl.plan, X, out[sl.row_start : sl.row_end]
                         ),
                         budget,
                         injector,

@@ -52,29 +52,39 @@ class WarpTile:
         out[..., : self.width - delta] = lanes[..., delta:]
         return out
 
-    def reduce_add(self, lanes: np.ndarray) -> np.ndarray:
+    def reduce_add(self, lanes: np.ndarray, axis: int = -1) -> np.ndarray:
         """``cg::reduce(tile, v, plus)`` — butterfly tree sum.
 
-        ``lanes`` has the lane index as its last axis (shape ``(..., width)``);
-        the reduction is vectorized over all leading axes, so one call
-        reduces every warp of a launch simultaneously *in the identical
-        per-warp order* hardware would use.
+        ``axis`` is the lane axis of ``lanes`` (the last one by default);
+        the reduction is vectorized over every other axis, so one call
+        reduces every warp of a launch — and every column of a batch —
+        simultaneously *in the identical per-warp order* hardware would
+        use.
 
         Returns the reduced values with the lane axis removed.
         """
         lanes = np.asarray(lanes)
-        if lanes.shape[-1] != self.width:
+        axis = axis % lanes.ndim
+        if lanes.shape[axis] != self.width:
             raise LaunchConfigError(
-                f"lane axis has {lanes.shape[-1]} entries, tile width is "
+                f"lane axis has {lanes.shape[axis]} entries, tile width is "
                 f"{self.width}"
             )
-        acc = lanes.copy()
+
+        def lane_range(start: int, stop: int) -> tuple:
+            index = [slice(None)] * lanes.ndim
+            index[axis] = slice(start, stop)
+            return tuple(index)
+
+        acc = lanes
         stride = self.width // 2
         while stride >= 1:
-            # shuffle-down round: lane i += lane i+stride
-            acc[..., :stride] = acc[..., :stride] + acc[..., stride : 2 * stride]
+            # shuffle-down round: lane i += lane i+stride.  Lanes at or
+            # above ``stride`` are never read again, so each round keeps
+            # only the lanes that still feed lane 0.
+            acc = acc[lane_range(0, stride)] + acc[lane_range(stride, 2 * stride)]
             stride //= 2
-        return acc[..., 0]
+        return np.take(acc, 0, axis=axis)
 
     @property
     def reduce_rounds(self) -> int:

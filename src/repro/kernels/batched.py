@@ -211,8 +211,9 @@ def run_multi_spmv(
         first = kernel.run(matrix, arrays[0], device=device, plan=plan)
         results = [first]
         if len(arrays) > 1:
-            doses = execute_plan_multi(plan, arrays)
-            for b in range(1, len(arrays)):
+            # kernel.run already produced dose 0.
+            doses = execute_plan_multi(plan, arrays[1:])
+            for b in range(len(arrays) - 1):
                 results.append(
                     replace(first, y=doses[:, b].astype(np.float64))
                 )

@@ -33,6 +33,7 @@ from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.executor import attach_launch_counts, warp_work, workload_profile
 from repro.gpu.launch import warp_per_row_launch
 from repro.gpu.memory import (
+    GatherTraffic,
     contiguous_stream_bytes,
     gather_traffic,
     output_write_bytes,
@@ -134,9 +135,16 @@ class VectorCSRKernel(SpMVKernel):
             )
 
     def _counters(
-        self, matrix: CSRMatrix, device: DeviceSpec
+        self,
+        matrix: CSRMatrix,
+        device: DeviceSpec,
+        gather: Optional[GatherTraffic] = None,
     ) -> PerfCounters:
-        """Accounting half: DRAM/L2 traffic of the warp-per-row pattern."""
+        """Accounting half: DRAM/L2 traffic of the warp-per-row pattern.
+
+        ``gather`` is the input-vector gather's traffic when the caller
+        has already priced it (it depends only on structure and device).
+        """
         prec = self.precision
         lengths = matrix.row_lengths()
         n_nonempty = int(np.count_nonzero(lengths))
@@ -160,9 +168,8 @@ class VectorCSRKernel(SpMVKernel):
             )
             + alignment_slack
         )
-        gather = gather_traffic(
-            matrix.indices, prec.vector.nbytes, matrix.n_cols, device
-        )
+        if gather is None:
+            gather = self._gather(matrix, device)
         c.dram_bytes_cols = gather.compulsory_dram_bytes
         c.dram_bytes_refetch = gather.refetch_dram_bytes
         c.l2_bytes = c.dram_bytes_nnz + gather.l2_bytes
@@ -177,6 +184,12 @@ class VectorCSRKernel(SpMVKernel):
         c.aux_instructions = 2.0 * matrix.nnz
         c.aux_instructions_rows = 5.0 * WARP * matrix.n_rows
         return c
+
+    def _gather(self, matrix: CSRMatrix, device: DeviceSpec) -> GatherTraffic:
+        """L2 traffic of gathering the input vector at every column index."""
+        return gather_traffic(
+            matrix.indices, self.precision.vector.nbytes, matrix.n_cols, device
+        )
 
     def multi_counters(
         self, matrix: CSRMatrix, device: DeviceSpec, batch: int = 1
@@ -193,14 +206,12 @@ class VectorCSRKernel(SpMVKernel):
         """
         if batch < 1:
             raise ShapeError(f"batch must be >= 1, got {batch}")
-        c = self._counters(matrix, device)
+        gather = self._gather(matrix, device)
+        c = self._counters(matrix, device, gather)
         if batch == 1:
             return c
         prec = self.precision
         extra = float(batch - 1)
-        gather = gather_traffic(
-            matrix.indices, prec.vector.nbytes, matrix.n_cols, device
-        )
         out_bytes = output_write_bytes(
             matrix.n_rows, prec.vector.nbytes, device.sector_bytes
         )

@@ -1,4 +1,4 @@
-"""Precompiled, immutable SpMV execution plans and the true SpMM path.
+"""Precompiled, immutable SpMV execution plans and the batched SpMM path.
 
 The paper's workload evaluates ``d = A @ w`` thousands of times per
 optimization against a *fixed* deposition matrix, yet the per-call
@@ -10,19 +10,29 @@ into a one-time compile (the structure-exploiting preprocessing Ginkgo
 and cuSPARSE apply on ``Analysis``/``apply`` splits), so a repeated
 evaluation only gathers, multiplies, and reduces.
 
+The vector-family layout is compact and mask-free.  Each warp chunk
+holds an int32 column and a pre-widened value per lane, chunk-major, so
+chunk ``j`` of every row in a group is one contiguous slice.  A lane
+past the end of its row stores value ``+0.0`` and the sentinel column
+``n_cols``.  Every executor reads the weights through one cast per
+evaluation (:func:`cast_weights`), which appends that sentinel slot,
+fixed at ``+0.0``.  A padded lane therefore adds ``+0.0 * +0.0 = +0.0``,
+the same ``+0.0`` the per-call kernel's tail mask substitutes, and it
+never reads a real weight, so ±inf or NaN weights cannot leak into it.
+
 Two executors consume a plan:
 
 * :func:`execute_plan` — one weight vector, bitwise identical to the
   per-call kernels (:func:`repro.kernels.csr_vector.warp_csr_spmv_exact`
   / :func:`repro.kernels.csr_scalar.scalar_csr_spmv_exact`);
-* :func:`execute_plan_multi` — the SpMM fast path: all ``B`` weight
-  vectors of a micro-batch are evaluated per gathered chunk (one index
-  gather shared across columns, lane accumulators carrying a leading
-  batch axis), while every arithmetic step stays an elementwise
-  broadcast of the single-vector step.  Each output column is therefore
-  bitwise identical to a stand-alone ``A @ w`` — batching never changes
-  a result bit, which is what lets the serving layer batch clinical
-  traffic at all.
+* :func:`execute_plan_multi` — the SpMM path: all ``B`` weight vectors
+  of a micro-batch are evaluated per chunk.  The weights are batch-minor
+  (``(n_cols + 1, B)``), so one gather fetches ``B`` contiguous values
+  per column index, and the lane accumulators carry a trailing batch
+  axis.  Every arithmetic step stays an elementwise broadcast of the
+  single-vector step, so each output column is bitwise identical to a
+  stand-alone ``A @ w``.  Batching never changes a result bit, which is
+  what lets the serving layer batch clinical traffic at all.
 
 Plans are immutable: every ndarray a plan holds is frozen with
 ``writeable=False`` at construction (rule RA105 checks this statically),
@@ -68,20 +78,24 @@ class WarpRowGroup:
     """All rows sharing one inner-loop iteration count, fully precomputed.
 
     For ``n`` rows needing ``iterations`` chunks of 32, the arrays hold
-    chunk ``j`` of row ``r`` at ``[r, j, :]`` — exactly the operands the
-    per-call kernel recomputes from ``indptr`` on every evaluation:
+    chunk ``j`` of row ``r`` at ``[j, r, :]``, so chunk ``j`` of the
+    whole group is the contiguous slice ``[j]``.  They are exactly the
+    operands the per-call kernel recomputes from ``indptr`` on every
+    evaluation:
 
-    * ``cols``   — clamped gather positions into the input vector;
+    * ``cols``   — int32 gather positions into the cast weights;
     * ``values`` — stored values pre-widened to the accumulation dtype
-      (the half->double ``astype`` that dominates the per-call cost);
-    * ``valid``  — tail mask for lanes past the end of the row.
+      (the half->double ``astype`` that dominates the per-call cost).
+
+    A lane past the end of its row holds column ``n_cols`` (the
+    sentinel slot :func:`cast_weights` appends) and value ``+0.0``;
+    there is no tail mask.
     """
 
     iterations: int
     rows: np.ndarray  # (n,) int64 row indices
-    cols: np.ndarray  # (n, iterations, WARP) int64 column indices
-    values: np.ndarray  # (n, iterations, WARP) accumulation dtype
-    valid: np.ndarray  # (n, iterations, WARP) bool tail masks
+    cols: np.ndarray  # (iterations, n, WARP) int32 column indices
+    values: np.ndarray  # (iterations, n, WARP) accumulation dtype
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
@@ -98,7 +112,7 @@ class ScalarStep:
 
     live: np.ndarray  # (m,) int64 indices into the active-row accumulator
     values: np.ndarray  # (m,) accumulation dtype
-    cols: np.ndarray  # (m,) int64 column indices
+    cols: np.ndarray  # (m,) int32 column indices
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
@@ -145,8 +159,7 @@ class SpMVPlan:
         """Resident size of the compiled arrays (excluding the source)."""
         total = int(self.scalar_rows.nbytes)
         for g in self.groups:
-            total += g.rows.nbytes + g.cols.nbytes
-            total += g.values.nbytes + g.valid.nbytes
+            total += g.rows.nbytes + g.cols.nbytes + g.values.nbytes
         for s in self.scalar_steps:
             total += s.live.nbytes + s.values.nbytes + s.cols.nbytes
         return total
@@ -164,31 +177,39 @@ def _compile_vector_groups(
     lengths = matrix.row_lengths().astype(np.int64)
     indptr = matrix.indptr.astype(np.int64)
     iters = (lengths + WARP - 1) // WARP
+    nnz = matrix.nnz
+    # Sentinel-extended copies of the CSR arrays: element ``nnz`` is the
+    # padded lane, column n_cols with value +0.0.
+    ext_cols = np.empty(nnz + 1, dtype=np.int32)
+    ext_cols[:nnz] = matrix.indices
+    ext_cols[nnz] = matrix.n_cols
+    ext_values = np.empty(nnz + 1, dtype=accum_dtype)
+    ext_values[:nnz] = matrix.data
+    ext_values[nnz] = 0
     lane_ids = np.arange(WARP, dtype=np.int64)
     groups: List[WarpRowGroup] = []
     for j_count in np.unique(iters):
         if j_count == 0:
             continue  # empty rows: the warp writes y[i] = 0 (already zero)
         rows = np.flatnonzero(iters == j_count)
-        base = indptr[rows]
-        lens = lengths[rows]
-        # offsets[j, lane] = j*WARP + lane, the in-row element index each
-        # lane touches on iteration j — the quantity the per-call kernel
-        # recomputes inside its chunk loop.
+        # offsets[j, 0, lane] = j*WARP + lane, the in-row element index
+        # each lane touches on iteration j — the quantity the per-call
+        # kernel recomputes inside its chunk loop.
         offsets = (
             np.arange(int(j_count), dtype=np.int64)[:, None] * WARP
             + lane_ids[None, :]
+        )[:, None, :]
+        pos = np.where(
+            offsets < lengths[rows][:, None],
+            indptr[rows][:, None] + offsets,
+            nnz,
         )
-        pos = base[:, None, None] + offsets[None, :, :]
-        valid = offsets[None, :, :] < lens[:, None, None]
-        pos_safe = np.where(valid, pos, 0)
         groups.append(
             WarpRowGroup(
                 iterations=int(j_count),
                 rows=rows,
-                cols=matrix.indices[pos_safe].astype(np.int64),
-                values=matrix.data[pos_safe].astype(accum_dtype),
-                valid=valid,
+                cols=ext_cols[pos],
+                values=ext_values[pos],
             )
         )
     return tuple(groups)
@@ -213,7 +234,7 @@ def _compile_scalar_steps(
             ScalarStep(
                 live=live,
                 values=matrix.data[pos].astype(accum_dtype),
-                cols=matrix.indices[pos].astype(np.int64),
+                cols=matrix.indices[pos].astype(np.int32),
             )
         )
     return tuple(steps), active_rows
@@ -227,7 +248,7 @@ def compile_plan(
     """Compile an immutable execution plan for ``matrix``.
 
     Everything that depends only on the matrix — bucketing, gather
-    positions, tail masks, value widening — is done here, once; the
+    positions, tail padding, value widening — is done here, once; the
     executors below never touch ``indptr`` again.
     """
     if family not in PLAN_FAMILIES:
@@ -237,6 +258,11 @@ def compile_plan(
     if not isinstance(matrix, CSRMatrix):
         raise DTypeError(
             f"plans compile from CSR matrices, got {type(matrix).__name__}"
+        )
+    if matrix.n_cols + 1 > np.iinfo(np.int32).max:
+        raise ShapeError(
+            f"{matrix.n_cols} columns: plan columns are int32 and must also "
+            f"reach the padded-lane sentinel column {matrix.n_cols}"
         )
     accum = np.dtype(accum_dtype)
     with trace_span(
@@ -311,31 +337,101 @@ def validate_plan_for(
 # --------------------------------------------------------------------- #
 
 
+def cast_weights(
+    weights: Union[np.ndarray, Sequence[np.ndarray]],
+    accum_dtype: Union[np.dtype, type],
+) -> np.ndarray:
+    """Cast the weights of one evaluation into the operand executors read.
+
+    One vector of length ``n_cols`` gives a vector of length
+    ``n_cols + 1``; a ``(n_cols, B)`` array or a sequence of ``B``
+    vectors gives a batch-minor ``(n_cols + 1, B)`` block.  The extra
+    slot ``n_cols`` is the padded-lane sentinel, fixed at ``+0.0``.
+    Callers validate shapes first and cast once per evaluation: every
+    slice of a sharded plan reads the same operand.
+    """
+    if isinstance(weights, np.ndarray):
+        operand = np.empty(
+            (weights.shape[0] + 1,) + weights.shape[1:], dtype=accum_dtype
+        )
+        operand[:-1] = weights
+    else:
+        operand = np.empty(
+            (len(weights[0]) + 1, len(weights)), dtype=accum_dtype
+        )
+        for b, w in enumerate(weights):
+            operand[:-1, b] = w
+    operand[-1] = 0
+    return operand
+
+
+def _weight_columns(
+    weights: Union[np.ndarray, Sequence[np.ndarray]], n_cols: int
+) -> List[np.ndarray]:
+    """The ``B`` weight vectors of a batch, each checked to be ``(n_cols,)``."""
+    if isinstance(weights, np.ndarray) and weights.ndim == 2:
+        columns = [weights[:, b] for b in range(weights.shape[1])]
+    else:
+        columns = [np.asarray(w) for w in weights]
+    if not columns:
+        raise ShapeError("need at least one weight vector")
+    for i, w in enumerate(columns):
+        if w.shape != (n_cols,):
+            raise ShapeError(
+                f"vector {i}: expected shape ({n_cols},), got {w.shape}"
+            )
+    return columns
+
+
+def _execute(plan: SpMVPlan, operand: np.ndarray, out: np.ndarray) -> None:
+    """Run ``plan`` on a cast operand of shape ``(n_cols + 1, *batch)``.
+
+    ``batch`` is ``()`` or ``(B,)``.  Per-(row, lane) arithmetic is the
+    per-call kernel's, in its order: lane sums in ascending chunk order,
+    then the butterfly of :meth:`WarpTile.reduce_add` over the lane axis.
+    The batch axis only broadcasts each step.  Scratch arrays are reused
+    across chunks; indices are in range by construction, so the gather
+    uses ``mode="clip"``, NumPy's unbuffered ``take``.
+    """
+    batch = operand.shape[1:]
+    accum = plan.accum_dtype
+    if plan.family == "vector":
+        tile = WarpTile(WARP)
+        for g in plan.groups:
+            shape = (g.rows.size, WARP) + batch
+            lane_acc = np.zeros(shape, dtype=accum)
+            chunk = np.empty(shape, dtype=accum)
+            for j in range(g.iterations):
+                values = g.values[j] if not batch else g.values[j][:, :, None]
+                np.take(operand, g.cols[j], axis=0, out=chunk, mode="clip")
+                np.multiply(values, chunk, out=chunk)
+                np.add(lane_acc, chunk, out=lane_acc)
+            out[g.rows] = tile.reduce_add(lane_acc, axis=1)
+    else:
+        acc = np.zeros((plan.scalar_rows.size,) + batch, dtype=accum)
+        for step in plan.scalar_steps:
+            values = step.values if not batch else step.values[:, None]
+            acc[step.live] = acc[step.live] + values * operand[step.cols]
+        out[plan.scalar_rows] = acc
+
+
 def execute_plan_into(plan: SpMVPlan, xa: np.ndarray, out: np.ndarray) -> None:
     """Evaluate one plan into a caller-owned output view.
 
-    ``xa`` must already be cast to the plan's accumulation dtype (the
-    sharded executors hoist that cast so it happens once per evaluation,
-    not once per shard); ``out`` is a zero-initialized 1-D view of
-    length ``plan.n_rows``.  Every accumulation happens in the plan's
+    ``xa`` is the ``(n_cols + 1,)`` vector :func:`cast_weights` returns
+    (the sharded executors cast once per evaluation, not once per
+    shard); ``out`` is a zero-initialized 1-D view of length
+    ``plan.n_rows``.  Every accumulation happens in the plan's
     accumulation dtype; only the final per-row assignment stores into
     ``out``, so a float64 output buffer receives bitwise the same values
     ``execute_plan`` returns (float32 accumulators embed exactly).
     """
-    zero = plan.accum_dtype.type(0)
-    if plan.family == "vector":
-        tile = WarpTile(WARP)
-        for g in plan.groups:
-            lane_acc = np.zeros((g.rows.size, WARP), dtype=plan.accum_dtype)
-            for j in range(g.iterations):
-                contrib = g.values[:, j, :] * xa[g.cols[:, j, :]]
-                lane_acc += np.where(g.valid[:, j, :], contrib, zero)
-            out[g.rows] = tile.reduce_add(lane_acc)
-    else:
-        acc = np.zeros(plan.scalar_rows.size, dtype=plan.accum_dtype)
-        for step in plan.scalar_steps:
-            acc[step.live] = acc[step.live] + step.values * xa[step.cols]
-        out[plan.scalar_rows] = acc
+    if xa.shape != (plan.n_cols + 1,):
+        raise ShapeError(
+            f"cast weights have shape {xa.shape}, expected "
+            f"({plan.n_cols + 1},): use cast_weights"
+        )
+    _execute(plan, xa, out)
 
 
 def execute_plan(plan: SpMVPlan, x: np.ndarray) -> np.ndarray:
@@ -344,9 +440,8 @@ def execute_plan(plan: SpMVPlan, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (plan.n_cols,):
         raise ShapeError(f"x has shape {x.shape}, expected ({plan.n_cols},)")
-    xa = x.astype(plan.accum_dtype, copy=False)
     y = np.zeros(plan.n_rows, dtype=plan.accum_dtype)
-    execute_plan_into(plan, xa, y)
+    execute_plan_into(plan, cast_weights(x, plan.accum_dtype), y)
     return y
 
 
@@ -354,70 +449,41 @@ def execute_plan_multi(
     plan: SpMVPlan,
     weights: Union[np.ndarray, Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """The SpMM fast path: evaluate all ``B`` weight vectors per chunk.
+    """The SpMM path: evaluate all ``B`` weight vectors per chunk.
 
     ``weights`` is a sequence of ``B`` vectors of length ``n_cols`` (or a
     ``(n_cols, B)`` array).  Returns the dose matrix ``(n_rows, B)``;
     column ``b`` is bitwise identical to ``execute_plan(plan, W[:, b])``.
+    The columns are contiguous, so splitting the batch into per-request
+    doses copies contiguous memory.
 
-    Per chunk the column-index gather is performed *once* and shared by
-    every weight vector; the lane accumulators carry a leading batch
-    axis, so each per-(row, lane) operation is an elementwise broadcast
-    of the single-vector operation — same multiply, same masked add,
+    Per chunk one gather fetches the ``B`` contiguous weights of each
+    column index, and each per-(row, lane) operation is an elementwise
+    broadcast of the single-vector operation — same multiply, same add,
     same 5-round butterfly, in the same order, for every column.
     """
-    if isinstance(weights, np.ndarray) and weights.ndim == 2:
-        columns = [weights[:, b] for b in range(weights.shape[1])]
-    else:
-        columns = [np.asarray(w) for w in weights]
-    if not columns:
-        raise ShapeError("need at least one weight vector")
-    for i, w in enumerate(columns):
-        if w.shape != (plan.n_cols,):
-            raise ShapeError(
-                f"vector {i}: expected shape ({plan.n_cols},), got {w.shape}"
-            )
-    batch = len(columns)
-    xt = np.empty((batch, plan.n_cols), dtype=plan.accum_dtype)
-    for b, w in enumerate(columns):
-        xt[b] = w.astype(plan.accum_dtype, copy=False)
-    out = np.zeros((batch, plan.n_rows), dtype=plan.accum_dtype)
-    execute_plan_multi_into(plan, xt, out)
-    return out.T
+    columns = _weight_columns(weights, plan.n_cols)
+    out = np.zeros((len(columns), plan.n_rows), dtype=plan.accum_dtype).T
+    execute_plan_multi_into(plan, cast_weights(columns, plan.accum_dtype), out)
+    return out
 
 
 def execute_plan_multi_into(
-    plan: SpMVPlan, xt: np.ndarray, out: np.ndarray
+    plan: SpMVPlan, X: np.ndarray, out: np.ndarray
 ) -> None:
-    """The SpMM fast path into a caller-owned ``(B, n_rows)`` view.
+    """The SpMM path into a caller-owned ``(n_rows, B)`` view.
 
-    ``xt`` is the pre-cast ``(B, n_cols)`` weight block (one cast per
-    evaluation, shared across shards); ``out`` is zero-initialized.
-    Arithmetic is identical to :func:`execute_plan_multi` — each
-    per-(row, lane) operation is an elementwise broadcast of the
-    single-vector operation — only the destination differs.
+    ``X`` is the batch-minor ``(n_cols + 1, B)`` block
+    :func:`cast_weights` returns (one cast per evaluation, shared across
+    shards); ``out`` is zero-initialized.  Arithmetic is identical to
+    :func:`execute_plan_multi`; only the destination differs.
     """
-    batch = xt.shape[0]
-    zero = plan.accum_dtype.type(0)
-    if plan.family == "vector":
-        tile = WarpTile(WARP)
-        for g in plan.groups:
-            lane_acc = np.zeros(
-                (batch, g.rows.size, WARP), dtype=plan.accum_dtype
-            )
-            for j in range(g.iterations):
-                cols_j = g.cols[:, j, :]
-                gathered = xt[:, cols_j]  # one gather, all B columns
-                contrib = g.values[None, :, j, :] * gathered
-                lane_acc += np.where(g.valid[None, :, j, :], contrib, zero)
-            out[:, g.rows] = tile.reduce_add(lane_acc)
-    else:
-        acc = np.zeros((batch, plan.scalar_rows.size), dtype=plan.accum_dtype)
-        for step in plan.scalar_steps:
-            acc[:, step.live] = (
-                acc[:, step.live] + step.values[None, :] * xt[:, step.cols]
-            )
-        out[:, plan.scalar_rows] = acc
+    if X.ndim != 2 or X.shape[0] != plan.n_cols + 1:
+        raise ShapeError(
+            f"cast weights have shape {X.shape}, expected "
+            f"({plan.n_cols + 1}, B): use cast_weights"
+        )
+    _execute(plan, X, out)
 
 
 # --------------------------------------------------------------------- #
@@ -679,7 +745,7 @@ def execute_sharded_plan(
                 f"out has shape {out.shape}, expected ({splan.n_rows},)"
             )
         out[:] = 0.0
-    xa = x.astype(splan.accum_dtype, copy=False)
+    xa = cast_weights(x, splan.accum_dtype)
     for s in splan.slices:
         execute_plan_into(s.plan, xa, out[s.row_start:s.row_end])
     return out
@@ -698,21 +764,9 @@ def execute_sharded_plan_multi(
     single-device per-call kernel — by the same broadcast argument as
     :func:`execute_plan_multi`.
     """
-    if isinstance(weights, np.ndarray) and weights.ndim == 2:
-        columns = [weights[:, b] for b in range(weights.shape[1])]
-    else:
-        columns = [np.asarray(w) for w in weights]
-    if not columns:
-        raise ShapeError("need at least one weight vector")
-    for i, w in enumerate(columns):
-        if w.shape != (splan.n_cols,):
-            raise ShapeError(
-                f"vector {i}: expected shape ({splan.n_cols},), got {w.shape}"
-            )
+    columns = _weight_columns(weights, splan.n_cols)
     batch = len(columns)
-    xt = np.empty((batch, splan.n_cols), dtype=splan.accum_dtype)
-    for b, w in enumerate(columns):
-        xt[b] = w.astype(splan.accum_dtype, copy=False)
+    X = cast_weights(columns, splan.accum_dtype)
     if out is None:
         out = np.zeros((splan.n_rows, batch), dtype=np.float64)
     else:
@@ -723,9 +777,7 @@ def execute_sharded_plan_multi(
             )
         out[:] = 0.0
     for s in splan.slices:
-        execute_plan_multi_into(
-            s.plan, xt, out[s.row_start:s.row_end, :].T
-        )
+        execute_plan_multi_into(s.plan, X, out[s.row_start:s.row_end])
     return out
 
 
