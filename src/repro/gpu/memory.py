@@ -13,6 +13,11 @@ counts the way Nsight Compute's ``dram_bytes`` metric would:
   sees only the compulsory footprint, and all reuse is L2 traffic;
 * if the footprint exceeds L2, a streaming-random miss model charges
   refetches proportional to the capacity shortfall.
+
+Footprints are counted without sorting: a ``bincount`` marks the touched
+elements and the distinct sectors are the increases along the ascending
+touched ids, so pricing a kernel costs O(accesses + vector length) host
+time (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.device import DeviceSpec
+from repro.util.validation import check_index_range
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -56,6 +62,26 @@ def segmented_stream_bytes(
     return ceil_div(payload + slack, sector) * sector
 
 
+def _touched_sectors(
+    idx: np.ndarray, elem_bytes: int, vector_length: int, sector: int
+) -> int:
+    """Distinct ``sector``-byte sectors holding a touched element.
+
+    ``idx`` is non-empty.  Raises :class:`ShapeError` naming the first
+    index outside ``[0, vector_length)``; inside that range the count
+    needs no sort: the ascending touched ids map to non-decreasing
+    sectors, so each distinct sector after the first is one increase.
+    """
+    check_index_range(idx, vector_length, "indices")
+    touched = np.flatnonzero(
+        np.bincount(
+            idx.ravel().astype(np.intp, copy=False), minlength=vector_length
+        )
+    )
+    sectors = touched * elem_bytes // sector
+    return 1 + int(np.count_nonzero(sectors[1:] != sectors[:-1]))
+
+
 @dataclass(frozen=True)
 class GatherTraffic:
     """Traffic produced by gathering from a cached vector."""
@@ -81,11 +107,16 @@ def gather_traffic(
 ) -> GatherTraffic:
     """Model gathers ``vector[indices]`` through the device's L2.
 
+    Costs O(``indices.size`` + ``vector_length``) host time and
+    8 B x ``vector_length`` scratch, with no sort.
+
     Parameters
     ----------
     indices:
         element indices accessed (with repetitions, or a representative
-        sample; ``accesses`` overrides the total count).
+        sample; ``accesses`` overrides the total count).  Every index must
+        lie in ``[0, vector_length)``; :class:`ShapeError` names the first
+        that does not.
     elem_bytes:
         width of one vector element (8 for the double input vector).
     vector_length:
@@ -98,10 +129,9 @@ def gather_traffic(
     sector = device.sector_bytes
     idx = np.asarray(indices)
     n_accesses = int(accesses if accesses is not None else idx.size)
-    if idx.size == 0 or vector_length == 0:
+    if idx.size == 0:
         return GatherTraffic(0, 0, 0)
-    touched_sectors = np.unique(idx.astype(np.int64) * elem_bytes // sector)
-    footprint = int(touched_sectors.size) * sector
+    footprint = _touched_sectors(idx, elem_bytes, vector_length, sector) * sector
     # Every access is an L2 transaction of one sector worth of data;
     # consecutive lanes hitting the same sector coalesce, which we model by
     # charging element bytes (the dose matrices gather mostly consecutive
@@ -141,14 +171,17 @@ def scatter_traffic(
     traffic stays in L2 if the target fits (the paper explains the GPU
     Baseline's DRAM-bandwidth dip exactly this way: the atomic traffic to
     the output vector lives in the 40 MB L2).
+
+    Same cost and index contract as :func:`gather_traffic`: O(accesses +
+    ``vector_length``) with no sort, and every index in
+    ``[0, vector_length)``.
     """
     sector = device.sector_bytes
     idx = np.asarray(indices)
     n_accesses = int(accesses if accesses is not None else idx.size)
     if idx.size == 0:
         return ScatterTraffic(0, 0)
-    touched_sectors = np.unique(idx.astype(np.int64) * elem_bytes // sector)
-    footprint = int(touched_sectors.size) * sector
+    footprint = _touched_sectors(idx, elem_bytes, vector_length, sector) * sector
     per_access = elem_bytes * (2 if read_modify_write else 1)
     l2_bytes = n_accesses * per_access
     dram = footprint

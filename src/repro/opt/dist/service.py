@@ -59,6 +59,7 @@ from repro.serve.scheduler import BatchingPolicy
 from repro.serve.service import DoseEvaluationService, ServiceConfig
 from repro.sparse.csr import CSRMatrix
 from repro.util.errors import ReproError
+from repro.util.validation import first_non_finite
 
 from repro.opt.dist.evaluator import ObjectiveEvaluation
 from repro.opt.dist.loop import (
@@ -448,6 +449,13 @@ class OptimizationService:
                     request.opt_id, OptRejectReason.BAD_REQUEST,
                     f"w0 has shape {w0.shape}, plan needs "
                     f"({matrix.n_cols},)",
+                )
+            spot = first_non_finite(w0)
+            if spot is not None:
+                metrics.counter("opt.service.rejected").inc()
+                return OptRejected(
+                    request.opt_id, OptRejectReason.BAD_REQUEST,
+                    f"w0[{spot}] is {w0[spot]}; warm starts must be finite",
                 )
         ticket = OptTicket(opt_id=request.opt_id)
         evaluator = _ServedObjectiveEvaluator(

@@ -23,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.util.errors import ReproError
+from repro.util.validation import first_non_finite
 
 
 class ServeError(ReproError):
@@ -44,6 +45,8 @@ class RejectReason(enum.Enum):
     NONREPRODUCIBLE = "nonreproducible"
     #: weight vector incompatible with the plan's deposition matrix.
     BAD_SHAPE = "bad_shape"
+    #: a weight is NaN or infinite (the dose would be silently NaN).
+    NON_FINITE = "non_finite"
     #: the request sat in the queue past its deadline.
     DEADLINE_EXCEEDED = "deadline_exceeded"
     #: the service runs sharded and the requested kernel has no
@@ -73,6 +76,15 @@ class EvaluationRequest:
     precision: str = "half_double"
     deadline_s: Optional[float] = None
     client_id: str = "default"
+    #: position of the first NaN or infinite weight, or ``None``; the
+    #: service rejects such a request at submission (``NON_FINITE``).
+    #: Found when the request is built, not in ``submit``: a NumPy scan
+    #: of a long vector releases the interpreter lock, and inside a burst
+    #: of submits that hands it to the worker the previous submit woke,
+    #: which can stretch the burst past the batching window.
+    non_finite_spot: Optional[int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights)
@@ -87,6 +99,7 @@ class EvaluationRequest:
                 f"got {self.deadline_s}"
             )
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "non_finite_spot", first_non_finite(w))
 
 
 @dataclass(frozen=True)

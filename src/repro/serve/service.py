@@ -236,6 +236,12 @@ class DoseEvaluationService:
                 f"plan {request.plan_id!r} has {record.n_spots} spots but "
                 f"weights have shape {request.weights.shape}",
             )
+        spot = request.non_finite_spot
+        if spot is not None:
+            return reject(
+                RejectReason.NON_FINITE,
+                f"weight of spot {spot} is {request.weights[spot]}",
+            )
         return None
 
     def evaluate(

@@ -7,7 +7,7 @@ stacks stay diagnosable.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,14 +60,28 @@ def check_nonnegative(value: float, name: str) -> float:
 def check_index_range(
     indices: np.ndarray, upper: int, name: str
 ) -> np.ndarray:
-    """Require every index in ``indices`` to lie in ``[0, upper)``."""
+    """Require every index in ``indices`` to lie in ``[0, upper)``.
+
+    The error names the first offending index (in flat order) and the
+    bound.
+    """
     indices = np.asarray(indices)
     if indices.size:
         lo = int(indices.min())
         hi = int(indices.max())
         if lo < 0 or hi >= upper:
+            flat = indices.ravel()
+            pos = int(np.flatnonzero((flat < 0) | (flat >= upper))[0])
             raise ShapeError(
-                f"{name} contains indices outside [0, {upper}): "
-                f"min={lo}, max={hi}"
+                f"{name}[{pos}] = {int(flat[pos])} is outside [0, {upper}) "
+                f"(min={lo}, max={hi})"
             )
     return indices
+
+
+def first_non_finite(values: np.ndarray) -> Optional[int]:
+    """Flat position of the first NaN or infinite entry, or ``None``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "fc" or np.isfinite(values).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
