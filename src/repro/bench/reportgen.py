@@ -32,6 +32,9 @@ which the band checks below verify.
 Experiment index: Table I and Figures 2-7 of the paper, plus the two
 in-text CPU-speedup claims and the Section II-D reproducibility
 requirement (covered by `benchmarks/test_reproducibility.py`).
+
+This file is regenerated whole; hand-written recipes and host-side
+measurements live in RECIPES.md.
 """
 
 

@@ -71,20 +71,17 @@ class WarpTile:
                 f"{self.width}"
             )
 
-        def lane_range(start: int, stop: int) -> tuple:
-            index = [slice(None)] * lanes.ndim
-            index[axis] = slice(start, stop)
-            return tuple(index)
-
+        before = (slice(None),) * axis  # index prefix up to the lane axis
         acc = lanes
         stride = self.width // 2
         while stride >= 1:
             # shuffle-down round: lane i += lane i+stride.  Lanes at or
             # above ``stride`` are never read again, so each round keeps
             # only the lanes that still feed lane 0.
-            acc = acc[lane_range(0, stride)] + acc[lane_range(stride, 2 * stride)]
+            acc = (acc[before + (slice(0, stride),)]
+                   + acc[before + (slice(stride, 2 * stride),)])
             stride //= 2
-        return np.take(acc, 0, axis=axis)
+        return acc[before + (0,)].copy()
 
     @property
     def reduce_rounds(self) -> int:

@@ -3,42 +3,35 @@
 The paper's workload evaluates ``d = A @ w`` thousands of times per
 optimization against a *fixed* deposition matrix, yet the per-call
 functional kernels re-derive everything that depends only on ``A`` on
-every evaluation: row-length bucketing, ``ceil(len/32)`` iteration
-counts, gather-position arithmetic, tail masks, and the half->double
-widening of every stored value.  An :class:`SpMVPlan` hoists all of that
-into a one-time compile (the structure-exploiting preprocessing Ginkgo
-and cuSPARSE apply on ``Analysis``/``apply`` splits), so a repeated
-evaluation only gathers, multiplies, and reduces.
+every evaluation.  An :class:`SpMVPlan` hoists that into a one-time
+compile (the structure-exploiting preprocessing Ginkgo and cuSPARSE
+apply on ``Analysis``/``apply`` splits).
 
-The vector-family layout is compact and mask-free.  Each warp chunk
-holds an int32 column and a pre-widened value per lane, chunk-major, so
-chunk ``j`` of every row in a group is one contiguous slice.  A lane
-past the end of its row stores value ``+0.0`` and the sentinel column
-``n_cols``.  Every executor reads the weights through one cast per
-evaluation (:func:`cast_weights`), which appends that sentinel slot,
-fixed at ``+0.0``.  A padded lane therefore adds ``+0.0 * +0.0 = +0.0``,
-the same ``+0.0`` the per-call kernel's tail mask substitutes, and it
-never reads a real weight, so ±inf or NaN weights cannot leak into it.
+A plan stores the warp kernel's summation order as data (DESIGN.md §16).
+Lane ``l`` of row ``r`` adds the row's elements ``l, l + 32, ...`` from
+``+0.0``; each such lane is a *virtual row* of one lane-expanded CSR
+operator with pre-widened values.  SciPy's CSR product sums every row in
+stored order from ``+0.0``, so ``operator @ W`` gives every lane sum bit
+for bit, and the butterfly of :meth:`WarpTile.reduce_add` finishes each
+row.  A row shorter than 32 gets the smallest power-of-two lane count
+that covers it: the butterfly rounds it skips would add ``+0.0`` to sums
+that are never ``-0.0``.  The scalar family is the same operator with
+one lane per row.  :func:`probe_summation_order` checks SciPy's loop
+once, at import.
 
-Two executors consume a plan:
+Two executors consume a plan: :func:`execute_plan` (one weight vector)
+and :func:`execute_plan_multi` (the SpMM path: all ``B`` vectors of a
+micro-batch in one product, batch-minor).  Each output column is
+bitwise identical to the per-call kernel of the plan's family
+(:func:`repro.kernels.csr_vector.warp_csr_spmv_exact` /
+:func:`repro.kernels.csr_scalar.scalar_csr_spmv_exact`): batching never
+changes a result bit, which is what lets the serving layer batch
+clinical traffic at all.
 
-* :func:`execute_plan` — one weight vector, bitwise identical to the
-  per-call kernels (:func:`repro.kernels.csr_vector.warp_csr_spmv_exact`
-  / :func:`repro.kernels.csr_scalar.scalar_csr_spmv_exact`);
-* :func:`execute_plan_multi` — the SpMM path: all ``B`` weight vectors
-  of a micro-batch are evaluated per chunk.  The weights are batch-minor
-  (``(n_cols + 1, B)``), so one gather fetches ``B`` contiguous values
-  per column index, and the lane accumulators carry a trailing batch
-  axis.  Every arithmetic step stays an elementwise broadcast of the
-  single-vector step, so each output column is bitwise identical to a
-  stand-alone ``A @ w``.  Batching never changes a result bit, which is
-  what lets the serving layer batch clinical traffic at all.
-
-Plans are immutable: every ndarray a plan holds is frozen with
-``writeable=False`` at construction (rule RA105 checks this statically),
-so a compiled plan can be shared across worker threads without locks.
-
-A process-global :class:`PlanCache` (LRU, single-flight) deduplicates
+Plans are immutable: every array a plan holds is frozen with
+``writeable=False`` (rule RA105 checks this statically), so a compiled
+plan can be shared across worker threads without locks.  A
+process-global :class:`PlanCache` (LRU, single-flight) deduplicates
 compilation; it reports ``plan.cache.{hit,miss,evictions}`` counters and
 compilation runs under a ``plan.compile`` span.
 """
@@ -47,22 +40,32 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy
+from scipy.sparse import csr_matrix
 
 from repro.gpu.coop import WarpTile
 from repro.obs import artifact, metrics
 from repro.obs.lockwitness import guarded_lock
 from repro.obs.trace import span as trace_span
 from repro.sparse.csr import CSRMatrix
-from repro.util.errors import DTypeError, PlanMismatchError, ShapeError
+from repro.util.errors import (
+    DTypeError,
+    PlanMismatchError,
+    ShapeError,
+    SummationOrderError,
+)
 
 WARP = 32
 
 #: kernel families a plan can target (one warp per row / one thread per
 #: row — the two deterministic reduction orders in the kernel library).
 PLAN_FAMILIES: Tuple[str, ...] = ("vector", "scalar")
+
+#: lane counts a row can get, narrowest first: powers of two up to a warp.
+LANE_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16, WARP)
 
 
 def _freeze_arrays(obj: object) -> None:
@@ -73,55 +76,68 @@ def _freeze_arrays(obj: object) -> None:
             value.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class WarpRowGroup:
-    """All rows sharing one inner-loop iteration count, fully precomputed.
+def _lane_sums(operator: csr_matrix, operand: np.ndarray) -> np.ndarray:
+    """Every virtual row's sum, by SciPy's compiled CSR row loop."""
+    return operator @ operand
 
-    For ``n`` rows needing ``iterations`` chunks of 32, the arrays hold
-    chunk ``j`` of row ``r`` at ``[j, r, :]``, so chunk ``j`` of the
-    whole group is the contiguous slice ``[j]``.  They are exactly the
-    operands the per-call kernel recomputes from ``indptr`` on every
-    evaluation:
 
-    * ``cols``   — int32 gather positions into the cast weights;
-    * ``values`` — stored values pre-widened to the accumulation dtype
-      (the half->double ``astype`` that dominates the per-call cost).
+#: (dtype, contraction nudge ``e``, order unit ``u``) per probed dtype.
+_PROBE_CONSTANTS = (
+    (np.float64, 2.0**-30, 2.0**-53),
+    (np.float32, 2.0**-13, 2.0**-24),
+)
+#: each probe row's name and its sum under stored-order multiply-then-add.
+_PROBE_ROWS = (("contraction", 0.0), ("order", 1.0))
 
-    A lane past the end of its row holds column ``n_cols`` (the
-    sentinel slot :func:`cast_weights` appends) and value ``+0.0``;
-    there is no tail mask.
+
+def probe_summation_order(
+    product: Callable[[csr_matrix, np.ndarray], np.ndarray] = _lane_sums,
+) -> Tuple[str, ...]:
+    """Check that ``product`` sums CSR rows the way compiled plans need.
+
+    Two probe rows (DESIGN.md §16), in float64 and float32, against a 1-D
+    and a 2-D ``B = 8`` operand.  *contraction*: ``-1`` at ``x = 1``, then
+    ``1 + e`` at ``x = 1 - e``; a multiply, then an add, give ``+0.0``, a
+    fused multiply-add ``-e**2``.  *order*: ``1``, then 63 × ``u`` at
+    ``x = 1``; each ``1 + u`` is a tie that rounds back to ``1``, so only
+    stored order gives exactly ``1``.  Returns the failed probes' names.
     """
+    failed: List[str] = []
+    for dtype, nudge, unit in _PROBE_CONSTANTS:
+        data = np.concatenate(
+            [[-1.0, 1.0 + nudge, 1.0], np.full(63, unit)]
+        ).astype(dtype)
+        indices = np.zeros(data.size, dtype=np.int32)
+        indices[1] = 1
+        operator = csr_matrix(
+            (data, indices, np.array([0, 2, data.size], dtype=np.int32)),
+            shape=(2, 2),
+        )
+        x = np.array([1.0, 1.0 - nudge], dtype=dtype)
+        for operand in (x, np.repeat(x[:, None], 8, axis=1)):
+            sums = np.asarray(product(operator, operand))
+            for row, (probe, want) in enumerate(_PROBE_ROWS):
+                expected = np.full(operand.shape[1:], want, dtype=dtype)
+                if sums[row].tobytes() != expected.tobytes():
+                    name = np.dtype(dtype).name
+                    failed.append(f"{probe} ({name}, {operand.ndim}-D operand)")
+    return tuple(failed)
 
-    iterations: int
-    rows: np.ndarray  # (n,) int64 row indices
-    cols: np.ndarray  # (iterations, n, WARP) int32 column indices
-    values: np.ndarray  # (iterations, n, WARP) accumulation dtype
 
-    def __post_init__(self) -> None:
-        _freeze_arrays(self)
-
-
-@dataclass(frozen=True)
-class ScalarStep:
-    """Step ``k`` of the scalar kernel's sequential row walk.
-
-    ``live`` indexes the rows (within the plan's active-row array) whose
-    length exceeds ``k``; ``values``/``cols`` are the pre-widened element
-    and its gather position for each live row.
-    """
-
-    live: np.ndarray  # (m,) int64 indices into the active-row accumulator
-    values: np.ndarray  # (m,) accumulation dtype
-    cols: np.ndarray  # (m,) int32 column indices
-
-    def __post_init__(self) -> None:
-        _freeze_arrays(self)
+#: the import-time probe of this process's SciPy; compile_plan reads it.
+_PROBE_FAILURES: Tuple[str, ...] = probe_summation_order()
 
 
 @dataclass(frozen=True)
 class SpMVPlan:
     """An immutable compiled execution plan for one (matrix, family,
     accumulation precision) triple.
+
+    ``operator`` is the lane-expanded CSR (values in the accumulation
+    dtype).  Its virtual rows come in lane groups, narrowest first;
+    ``lane_groups`` lists each group's ``(width, row count)``, a group
+    holds its rows ascending, each row's lanes in order, and ``rows``
+    lists those output rows group after group (empty rows have none).
 
     The plan keeps strong references to the source matrix's ``data`` and
     ``indices`` arrays: :meth:`matches` is an identity check, and the
@@ -135,17 +151,18 @@ class SpMVPlan:
     nnz: int
     value_dtype: np.dtype
     accum_dtype: np.dtype
-    #: vector family: one group per distinct iteration count.
-    groups: Tuple[WarpRowGroup, ...]
-    #: scalar family: one step per inner-loop trip, plus the active rows.
-    scalar_steps: Tuple[ScalarStep, ...]
-    scalar_rows: np.ndarray
+    operator: csr_matrix
+    rows: np.ndarray  # (active rows,) intp, in lane-group order
+    lane_groups: Tuple[Tuple[int, int], ...]
     #: identity anchors into the source matrix (see class docstring).
     source_data: np.ndarray
     source_indices: np.ndarray
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
+        op = self.operator
+        for array in (op.data, op.indices, op.indptr):
+            array.setflags(write=False)
 
     def matches(self, matrix: CSRMatrix) -> bool:
         """True when this plan was compiled from exactly ``matrix``."""
@@ -157,12 +174,9 @@ class SpMVPlan:
     @property
     def nbytes(self) -> int:
         """Resident size of the compiled arrays (excluding the source)."""
-        total = int(self.scalar_rows.nbytes)
-        for g in self.groups:
-            total += g.rows.nbytes + g.cols.nbytes + g.values.nbytes
-        for s in self.scalar_steps:
-            total += s.live.nbytes + s.values.nbytes + s.cols.nbytes
-        return total
+        op = self.operator
+        arrays = (op.data, op.indices, op.indptr, self.rows)
+        return int(sum(a.nbytes for a in arrays))
 
 
 # --------------------------------------------------------------------- #
@@ -170,74 +184,60 @@ class SpMVPlan:
 # --------------------------------------------------------------------- #
 
 
-def _compile_vector_groups(
-    matrix: CSRMatrix, accum_dtype: np.dtype
-) -> Tuple[WarpRowGroup, ...]:
-    """Replicate the warp kernel's bucketing with chunk operands hoisted."""
-    lengths = matrix.row_lengths().astype(np.int64)
-    indptr = matrix.indptr.astype(np.int64)
-    iters = (lengths + WARP - 1) // WARP
-    nnz = matrix.nnz
-    # Sentinel-extended copies of the CSR arrays: element ``nnz`` is the
-    # padded lane, column n_cols with value +0.0.
-    ext_cols = np.empty(nnz + 1, dtype=np.int32)
-    ext_cols[:nnz] = matrix.indices
-    ext_cols[nnz] = matrix.n_cols
-    ext_values = np.empty(nnz + 1, dtype=accum_dtype)
-    ext_values[:nnz] = matrix.data
-    ext_values[nnz] = 0
-    lane_ids = np.arange(WARP, dtype=np.int64)
-    groups: List[WarpRowGroup] = []
-    for j_count in np.unique(iters):
-        if j_count == 0:
-            continue  # empty rows: the warp writes y[i] = 0 (already zero)
-        rows = np.flatnonzero(iters == j_count)
-        # offsets[j, 0, lane] = j*WARP + lane, the in-row element index
-        # each lane touches on iteration j — the quantity the per-call
-        # kernel recomputes inside its chunk loop.
-        offsets = (
-            np.arange(int(j_count), dtype=np.int64)[:, None] * WARP
-            + lane_ids[None, :]
-        )[:, None, :]
-        pos = np.where(
-            offsets < lengths[rows][:, None],
-            indptr[rows][:, None] + offsets,
-            nnz,
-        )
-        groups.append(
-            WarpRowGroup(
-                iterations=int(j_count),
-                rows=rows,
-                cols=ext_cols[pos],
-                values=ext_values[pos],
-            )
-        )
-    return tuple(groups)
+def _lane_operator(
+    matrix: CSRMatrix, accum_dtype: np.dtype, lanes: int
+) -> Tuple[csr_matrix, np.ndarray, Tuple[Tuple[int, int], ...]]:
+    """The lane-expanded CSR of ``matrix`` at ``lanes`` lanes per row.
 
+    A row of length ``n`` gets the narrowest width in ``LANE_WIDTHS`` that
+    is at least ``min(n, lanes)`` (none when empty); its lane ``l`` holds
+    the stored elements ``l, l + lanes, ...``.  Each element's source
+    position is computed from its virtual row; no element is sorted.
+    """
+    widths = np.array(LANE_WIDTHS[: LANE_WIDTHS.index(lanes) + 1])
+    lengths = np.diff(matrix.indptr)
+    active = np.flatnonzero(lengths)
+    group = np.searchsorted(widths, np.minimum(lengths[active], lanes))
+    sizes = np.bincount(group, minlength=widths.size)
+    rows = active[np.argsort(group, kind="stable")]
+    lane_groups = tuple((int(w), int(n)) for w, n in zip(widths, sizes) if n)
 
-def _compile_scalar_steps(
-    matrix: CSRMatrix, accum_dtype: np.dtype
-) -> Tuple[Tuple[ScalarStep, ...], np.ndarray]:
-    """Precompute the scalar kernel's per-step live sets and operands."""
-    lengths = matrix.row_lengths().astype(np.int64)
-    indptr = matrix.indptr.astype(np.int64)
-    active_rows = np.flatnonzero(lengths > 0)
-    active_lens = lengths[active_rows]
-    active_base = indptr[active_rows]
-    steps: List[ScalarStep] = []
-    for k in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(active_lens > k)
-        if live.size == 0:
-            break
-        pos = active_base[live] + k
-        steps.append(
-            ScalarStep(
-                live=live,
-                values=matrix.data[pos].astype(accum_dtype),
-                cols=matrix.indices[pos].astype(np.int32),
-            )
-        )
-    return tuple(steps), active_rows
+    # One index dtype for the operator and the offset arithmetic below:
+    # int32 whenever every offset fits (``lanes * nnz`` bounds them).
+    # SciPy then picks int32 as well and copies neither index array.
+    n_virtual = int(sizes @ widths)
+    fits = max(lanes * matrix.nnz + n_virtual, matrix.n_cols) <= np.iinfo(
+        np.int32).max
+    index_dtype = np.int32 if fits else np.int64
+
+    # Virtual row v, lane ``v - start[i]`` of active row i, starts at
+    # ``indptr[row] - start[i] + v``; it holds ``ceil((len - lane) / lanes)``.
+    row_width = np.repeat(widths.astype(index_dtype), sizes)
+    start = np.cumsum(row_width, dtype=index_dtype) - row_width
+    v = np.arange(n_virtual, dtype=index_dtype)
+    first = np.repeat(
+        (matrix.indptr[rows] - start).astype(index_dtype), row_width
+    ) + v
+    count = np.repeat(
+        (lengths[rows] + start + (lanes - 1)).astype(index_dtype), row_width
+    ) - v
+    count //= lanes
+    indptr = np.empty(n_virtual + 1, dtype=index_dtype)
+    indptr[0] = 0
+    np.cumsum(count, out=indptr[1:])
+    # Element p of virtual row v: first[v] + lanes * (p - indptr[v]).
+    first -= lanes * indptr[:-1]
+    src = np.repeat(first.astype(np.intp), count)
+    src += np.arange(0, lanes * matrix.nnz, lanes)
+    operator = csr_matrix(
+        (
+            matrix.data.take(src).astype(accum_dtype, copy=False),
+            matrix.indices.take(src).astype(index_dtype, copy=False),
+            indptr,
+        ),
+        shape=(n_virtual, matrix.n_cols),
+    )
+    return operator, rows, lane_groups
 
 
 def compile_plan(
@@ -247,9 +247,9 @@ def compile_plan(
 ) -> SpMVPlan:
     """Compile an immutable execution plan for ``matrix``.
 
-    Everything that depends only on the matrix — bucketing, gather
-    positions, tail padding, value widening — is done here, once; the
-    executors below never touch ``indptr`` again.
+    Everything that depends only on the matrix — lane layout, element
+    order, value widening — is done here, once; the executors below never
+    touch the source matrix again.
     """
     if family not in PLAN_FAMILIES:
         raise ValueError(
@@ -259,10 +259,13 @@ def compile_plan(
         raise DTypeError(
             f"plans compile from CSR matrices, got {type(matrix).__name__}"
         )
-    if matrix.n_cols + 1 > np.iinfo(np.int32).max:
-        raise ShapeError(
-            f"{matrix.n_cols} columns: plan columns are int32 and must also "
-            f"reach the padded-lane sentinel column {matrix.n_cols}"
+    if _PROBE_FAILURES:
+        raise SummationOrderError(
+            f"SciPy {scipy.__version__} failed the summation-order "
+            f"probe(s) {'; '.join(_PROBE_FAILURES)}: its CSR product does "
+            "not multiply, then add, in stored order, so a compiled plan "
+            "would not reproduce the kernels' bits (the per-call kernels "
+            "still run)"
         )
     accum = np.dtype(accum_dtype)
     with trace_span(
@@ -272,13 +275,9 @@ def compile_plan(
         rows=matrix.n_rows,
         nnz=matrix.nnz,
     ) as sp:
-        if family == "vector":
-            groups = _compile_vector_groups(matrix, accum)
-            steps: Tuple[ScalarStep, ...] = ()
-            active = np.empty(0, dtype=np.int64)
-        else:
-            groups = ()
-            steps, active = _compile_scalar_steps(matrix, accum)
+        operator, rows, lane_groups = _lane_operator(
+            matrix, accum, WARP if family == "vector" else 1
+        )
         plan = SpMVPlan(
             family=family,
             n_rows=matrix.n_rows,
@@ -286,14 +285,14 @@ def compile_plan(
             nnz=matrix.nnz,
             value_dtype=np.dtype(matrix.value_dtype),
             accum_dtype=accum,
-            groups=groups,
-            scalar_steps=steps,
-            scalar_rows=active,
+            operator=operator,
+            rows=rows,
+            lane_groups=lane_groups,
             source_data=matrix.data,
             source_indices=matrix.indices,
         )
-        sp.set_attrs(groups=len(groups), steps=len(steps),
-                     plan_bytes=plan.nbytes)
+        sp.set_attrs(lane_groups=len(lane_groups),
+                     virtual_rows=operator.shape[0], plan_bytes=plan.nbytes)
     metrics.counter("plan.compiled").inc()
     if artifact.enabled():
         artifact.record(
@@ -301,7 +300,7 @@ def compile_plan(
             family=family, accum=accum.name,
             n_rows=matrix.n_rows, n_cols=matrix.n_cols, nnz=matrix.nnz,
             value_dtype=np.dtype(matrix.value_dtype).name,
-            groups=len(plan.groups), steps=len(plan.scalar_steps),
+            lane_groups=len(lane_groups), virtual_rows=operator.shape[0],
             plan_bytes=plan.nbytes,
             matrix_fingerprint=artifact.matrix_fingerprint(matrix),
         )
@@ -343,25 +342,18 @@ def cast_weights(
 ) -> np.ndarray:
     """Cast the weights of one evaluation into the operand executors read.
 
-    One vector of length ``n_cols`` gives a vector of length
-    ``n_cols + 1``; a ``(n_cols, B)`` array or a sequence of ``B``
-    vectors gives a batch-minor ``(n_cols + 1, B)`` block.  The extra
-    slot ``n_cols`` is the padded-lane sentinel, fixed at ``+0.0``.
-    Callers validate shapes first and cast once per evaluation: every
-    slice of a sharded plan reads the same operand.
+    One vector of length ``n_cols`` gives a C-contiguous vector; a
+    ``(n_cols, B)`` array or a sequence of ``B`` vectors gives a
+    C-contiguous, batch-minor ``(n_cols, B)`` block, so each stored
+    element multiplies ``B`` contiguous values.  Callers validate shapes
+    first and cast once per evaluation: every slice of a sharded plan
+    reads the same operand.
     """
     if isinstance(weights, np.ndarray):
-        operand = np.empty(
-            (weights.shape[0] + 1,) + weights.shape[1:], dtype=accum_dtype
-        )
-        operand[:-1] = weights
-    else:
-        operand = np.empty(
-            (len(weights[0]) + 1, len(weights)), dtype=accum_dtype
-        )
-        for b, w in enumerate(weights):
-            operand[:-1, b] = w
-    operand[-1] = 0
+        return np.ascontiguousarray(weights, dtype=accum_dtype)
+    operand = np.empty((len(weights[0]), len(weights)), dtype=accum_dtype)
+    for b, w in enumerate(weights):
+        operand[:, b] = w
     return operand
 
 
@@ -383,54 +375,51 @@ def _weight_columns(
     return columns
 
 
-def _execute(plan: SpMVPlan, operand: np.ndarray, out: np.ndarray) -> None:
-    """Run ``plan`` on a cast operand of shape ``(n_cols + 1, *batch)``.
+def _check_operand(plan: SpMVPlan, operand: np.ndarray, ndim: int) -> None:
+    """The ``_into`` operand contract.  The dtype must be the plan's: a
+    product accumulates in the wider of its two operands' dtypes."""
+    if operand.dtype != plan.accum_dtype:
+        raise DTypeError(f"cast weights are {operand.dtype}, the plan "
+                         f"accumulates in {plan.accum_dtype}: use cast_weights")
+    if operand.ndim != ndim or operand.shape[0] != plan.n_cols:
+        expected = f"({plan.n_cols},)" if ndim == 1 else f"({plan.n_cols}, B)"
+        raise ShapeError(
+            f"cast weights have shape {operand.shape}, expected {expected}"
+        )
 
-    ``batch`` is ``()`` or ``(B,)``.  Per-(row, lane) arithmetic is the
-    per-call kernel's, in its order: lane sums in ascending chunk order,
-    then the butterfly of :meth:`WarpTile.reduce_add` over the lane axis.
-    The batch axis only broadcasts each step.  Scratch arrays are reused
-    across chunks; indices are in range by construction, so the gather
-    uses ``mode="clip"``, NumPy's unbuffered ``take``.
+
+def _execute(plan: SpMVPlan, operand: np.ndarray, out: np.ndarray) -> None:
+    """Run ``plan`` on a cast operand of shape ``(n_cols, *batch)``.
+
+    ``batch`` is ``()`` or ``(B,)``.  One product gives every lane sum in
+    the kernel's order; each lane group's sums reshape to
+    ``(rows, width, *batch)`` for the butterfly of
+    :meth:`WarpTile.reduce_add`, which the batch axis only broadcasts.
     """
+    lane_sums = _lane_sums(plan.operator, operand)
     batch = operand.shape[1:]
-    accum = plan.accum_dtype
-    if plan.family == "vector":
-        tile = WarpTile(WARP)
-        for g in plan.groups:
-            shape = (g.rows.size, WARP) + batch
-            lane_acc = np.zeros(shape, dtype=accum)
-            chunk = np.empty(shape, dtype=accum)
-            for j in range(g.iterations):
-                values = g.values[j] if not batch else g.values[j][:, :, None]
-                np.take(operand, g.cols[j], axis=0, out=chunk, mode="clip")
-                np.multiply(values, chunk, out=chunk)
-                np.add(lane_acc, chunk, out=lane_acc)
-            out[g.rows] = tile.reduce_add(lane_acc, axis=1)
-    else:
-        acc = np.zeros((plan.scalar_rows.size,) + batch, dtype=accum)
-        for step in plan.scalar_steps:
-            values = step.values if not batch else step.values[:, None]
-            acc[step.live] = acc[step.live] + values * operand[step.cols]
-        out[plan.scalar_rows] = acc
+    lane = row = 0
+    for width, count in plan.lane_groups:
+        sums = lane_sums[lane:lane + width * count]
+        out[plan.rows[row:row + count]] = WarpTile(width).reduce_add(
+            sums.reshape((count, width) + batch), axis=1
+        )
+        lane += width * count
+        row += count
 
 
 def execute_plan_into(plan: SpMVPlan, xa: np.ndarray, out: np.ndarray) -> None:
     """Evaluate one plan into a caller-owned output view.
 
-    ``xa`` is the ``(n_cols + 1,)`` vector :func:`cast_weights` returns
-    (the sharded executors cast once per evaluation, not once per
-    shard); ``out`` is a zero-initialized 1-D view of length
-    ``plan.n_rows``.  Every accumulation happens in the plan's
-    accumulation dtype; only the final per-row assignment stores into
-    ``out``, so a float64 output buffer receives bitwise the same values
-    ``execute_plan`` returns (float32 accumulators embed exactly).
+    ``xa`` is the ``(n_cols,)`` vector :func:`cast_weights` returns, in
+    the plan's accumulation dtype (the sharded executors cast once per
+    evaluation, not once per shard); ``out`` is a zero-initialized 1-D
+    view of length ``plan.n_rows``.  Every accumulation happens in the
+    plan's accumulation dtype; only the final per-row assignment stores
+    into ``out``, so a float64 output buffer receives bitwise the same
+    values ``execute_plan`` returns (float32 accumulators embed exactly).
     """
-    if xa.shape != (plan.n_cols + 1,):
-        raise ShapeError(
-            f"cast weights have shape {xa.shape}, expected "
-            f"({plan.n_cols + 1},): use cast_weights"
-        )
+    _check_operand(plan, xa, 1)
     _execute(plan, xa, out)
 
 
@@ -449,7 +438,7 @@ def execute_plan_multi(
     plan: SpMVPlan,
     weights: Union[np.ndarray, Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """The SpMM path: evaluate all ``B`` weight vectors per chunk.
+    """The SpMM path: evaluate all ``B`` weight vectors in one product.
 
     ``weights`` is a sequence of ``B`` vectors of length ``n_cols`` (or a
     ``(n_cols, B)`` array).  Returns the dose matrix ``(n_rows, B)``;
@@ -457,10 +446,9 @@ def execute_plan_multi(
     The columns are contiguous, so splitting the batch into per-request
     doses copies contiguous memory.
 
-    Per chunk one gather fetches the ``B`` contiguous weights of each
-    column index, and each per-(row, lane) operation is an elementwise
-    broadcast of the single-vector operation — same multiply, same add,
-    same 5-round butterfly, in the same order, for every column.
+    Each stored element multiplies the ``B`` contiguous weights of its
+    column: every column gets the single-vector multiply, add and
+    butterfly, in the same order.
     """
     columns = _weight_columns(weights, plan.n_cols)
     out = np.zeros((len(columns), plan.n_rows), dtype=plan.accum_dtype).T
@@ -473,16 +461,13 @@ def execute_plan_multi_into(
 ) -> None:
     """The SpMM path into a caller-owned ``(n_rows, B)`` view.
 
-    ``X`` is the batch-minor ``(n_cols + 1, B)`` block
-    :func:`cast_weights` returns (one cast per evaluation, shared across
-    shards); ``out`` is zero-initialized.  Arithmetic is identical to
-    :func:`execute_plan_multi`; only the destination differs.
+    ``X`` is the batch-minor ``(n_cols, B)`` block :func:`cast_weights`
+    returns, in the plan's accumulation dtype (one cast per evaluation,
+    shared across shards); ``out`` is zero-initialized.  Arithmetic is
+    identical to :func:`execute_plan_multi`; only the destination
+    differs.
     """
-    if X.ndim != 2 or X.shape[0] != plan.n_cols + 1:
-        raise ShapeError(
-            f"cast weights have shape {X.shape}, expected "
-            f"({plan.n_cols + 1}, B): use cast_weights"
-        )
+    _check_operand(plan, X, 2)
     _execute(plan, X, out)
 
 

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.obs import clock
 from repro.serve.request import (
     EvaluationRequest,
     EvaluationResult,
@@ -122,12 +123,16 @@ class EnsembleTicket:
         )
 
     def outcome(self, timeout: Optional[float] = None) -> EnsembleOutcome:
-        """Gather every scenario and merge in scenario-index order."""
+        """Gather every scenario and merge in scenario-index order.
+
+        ``timeout`` bounds the whole gather (``None`` waits forever).
+        """
+        deadline = None if timeout is None else clock.monotonic() + timeout
         results: List[EvaluationResult] = []
         for index, handle in enumerate(self.handles):
             out = handle if isinstance(handle, Rejected) else handle.outcome(
-                timeout
-            )
+                None if deadline is None
+                else max(0.0, deadline - clock.monotonic()))
             if isinstance(out, Rejected):
                 return Rejected(
                     self.request.request_id,

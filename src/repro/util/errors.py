@@ -57,3 +57,8 @@ class GeometryError(ReproError, ValueError):
     Examples: a beam axis of zero length, a spot grid outside the dose grid,
     a phantom with non-positive voxel spacing.
     """
+
+
+class SummationOrderError(ReproError, RuntimeError):
+    """SciPy's CSR product does not multiply, then add, each row's
+    elements in stored order, so compiled plans cannot be bit-exact."""

@@ -77,7 +77,8 @@ class TestEdgeCases:
     def test_all_rows_empty(self, rng):
         m = CSRMatrix.from_dense(np.zeros((17, 9)), value_dtype=np.float16)
         plan = compile_plan(m, "vector", np.float64)
-        assert plan.groups == ()
+        assert plan.lane_groups == ()
+        assert plan.rows.size == 0 and plan.operator.shape == (0, 9)
         [w] = _weights(rng, 9)
         np.testing.assert_array_equal(execute_plan(plan, w), np.zeros(17))
         doses = execute_plan_multi(plan, _weights(rng, 9, batch=3))
@@ -96,13 +97,20 @@ class TestEdgeCases:
         np.testing.assert_array_equal(y, warp_csr_spmv_exact(m, w, np.float64))
 
     def test_single_row_longer_than_many_chunks(self, rng):
-        # One dense row of 200 elements: ceil(200/32) = 7 warp iterations.
+        # One dense row of 200 elements: ceil(200/32) = 7 warp iterations,
+        # so lanes 0-7 add 7 elements each and lanes 8-31 add 6.
         n_cols = 200
         dense = np.zeros((3, n_cols))
         dense[1, :] = 0.1 + rng.random(n_cols)
         m = CSRMatrix.from_dense(dense, value_dtype=np.float16)
         plan = compile_plan(m, "vector", np.float64)
-        assert plan.groups[0].iterations == 7
+        assert plan.lane_groups == ((32, 1),)
+        assert plan.rows.tolist() == [1]
+        lanes = plan.operator
+        assert np.diff(lanes.indptr).tolist() == [7] * 8 + [6] * 24
+        for lane in range(32):
+            stored = lanes.indices[lanes.indptr[lane]:lanes.indptr[lane + 1]]
+            assert stored.tolist() == list(range(lane, n_cols, 32))
         [w] = _weights(rng, n_cols)
         np.testing.assert_array_equal(
             execute_plan(plan, w), warp_csr_spmv_exact(m, w, np.float64)
@@ -188,17 +196,15 @@ class TestImmutability:
     def test_plan_arrays_frozen(self, rng):
         m = make_random_csr(rng, n_rows=30, n_cols=12).astype(np.float16)
         plan = compile_plan(m, "vector", np.float64)
-        for g in plan.groups:
-            assert g.cols.dtype == np.int32
-            for arr in (g.rows, g.cols, g.values):
+        scalar = compile_plan(m.astype(np.float32), "scalar", np.float32)
+        for p, accum in ((plan, np.float64), (scalar, np.float32)):
+            lanes = p.operator
+            assert lanes.indices.dtype == lanes.indptr.dtype == np.int32
+            assert lanes.data.dtype == accum
+            for arr in (p.rows, lanes.data, lanes.indices, lanes.indptr):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0
-        scalar = compile_plan(m.astype(np.float32), "scalar", np.float32)
-        assert not scalar.scalar_rows.flags.writeable
-        for step in scalar.scalar_steps:
-            for arr in (step.live, step.values, step.cols):
-                assert not arr.flags.writeable
 
 
 class TestPlanCache:
@@ -367,5 +373,6 @@ class TestTransposePlan:
     def test_plan_arrays_frozen(self, rng):
         m = make_random_csr(rng, n_rows=20, n_cols=9).astype(np.float16)
         tplan = compile_transpose_plan(m)
-        for g in tplan.plan.groups:
-            assert not g.values.flags.writeable
+        lanes = tplan.plan.operator
+        for arr in (tplan.plan.rows, lanes.data, lanes.indices, lanes.indptr):
+            assert not arr.flags.writeable

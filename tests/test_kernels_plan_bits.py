@@ -2,11 +2,12 @@
 
 ``np.testing.assert_array_equal`` treats -0.0 == +0.0 and NaN == NaN, so
 it cannot see a sign-of-zero or NaN change.  These tests compare raw
-bytes instead.  The matrices stress lane padding: zero nnz, all-empty
-rows, and row lengths around the warp width.  The weights stress the
-padded-lane sentinel: NaN, ±inf, -0.0 and subnormals.  Every executor is
-checked against the per-call exact kernel: single and batched plans,
-fused sharded plans of 1-3 slices, and the sharded evaluator.
+bytes instead.  The matrices stress the lane layout: zero nnz, all-empty
+rows, and row lengths on both sides of every lane width (1, 2, 4, 8, 16,
+32) and of two warps.  The weights stress the +0.0 argument: NaN, ±inf,
+-0.0 and subnormals.  Every executor is checked against the per-call
+exact kernel: single and batched plans, fused sharded plans of 1-3
+slices, the sharded evaluator, and the adjoint's transpose plan.
 
 One thing is not compared: which NaN comes out when two different NaNs
 meet in one add.  IEEE 754 leaves that choice open, and NumPy's SIMD
@@ -17,6 +18,8 @@ one, so those cases compare bytes with every NaN made the same NaN.
 Without infinities every NaN is the weights' own, and the bytes are
 compared as they are.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,31 +37,38 @@ from repro.kernels.csr_vector import (
     SingleKernel,
     warp_csr_spmv_exact,
 )
+from repro.kernels.dispatch import make_kernel
 from repro.kernels.plan import (
+    LANE_WIDTHS,
     cast_weights,
     compile_plan,
     compile_sharded_plan,
+    compile_transpose_plan,
     execute_plan,
     execute_plan_into,
     execute_plan_multi,
     execute_plan_multi_into,
     execute_sharded_plan,
     execute_sharded_plan_multi,
+    execute_transpose_plan,
 )
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import extract_row_block, partition_rows_balanced
-from repro.util.errors import ShapeError
+from repro.util.errors import DTypeError, ShapeError
 from tests.conftest import make_random_csr
 
-#: kernel name -> (factory, matrix value dtype, per-call exact kernel)
+#: kernel name -> (factory, value dtype, index dtype, per-call exact kernel)
 KERNELS = {
-    "half_double": (HalfDoubleKernel, np.float16, warp_csr_spmv_exact),
-    "single": (SingleKernel, np.float32, warp_csr_spmv_exact),
-    "scalar": (ScalarCSRKernel, np.float32, scalar_csr_spmv_exact),
+    "half_double": (HalfDoubleKernel, np.float16, np.int32,
+                    warp_csr_spmv_exact),
+    "half_double_u16": (partial(make_kernel, "half_double_u16"), np.float16,
+                        np.uint16, warp_csr_spmv_exact),
+    "single": (SingleKernel, np.float32, np.int32, warp_csr_spmv_exact),
+    "scalar": (ScalarCSRKernel, np.float32, np.int32, scalar_csr_spmv_exact),
 }
 
-#: row lengths on both sides of one and two warp widths.
-ROW_LENGTHS = (0, 1, 31, 32, 33, 64, 65)
+#: row lengths on both sides of every lane width and of two warps.
+ROW_LENGTHS = (0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65)
 
 #: weights that an inexact padding scheme would leak into a padded lane
 #: or whose sign an equality check cannot see; 1e-45 and 5e-324 are the
@@ -67,12 +77,12 @@ FINITE_OR_NAN = (np.nan, -0.0, 0.0, 5e-324, -1e-310, 1e-45, -3e-39)
 WITH_INFINITIES = FINITE_OR_NAN + (np.inf, -np.inf)
 
 
-def _matrix(rng, lengths, n_cols, dtype):
+def _matrix(rng, lengths, n_cols, dtype, index_dtype=np.int32):
     """CSR with the given row lengths, random (repeatable) columns and
     values that include stored +0.0 and -0.0."""
     indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     nnz = int(indptr[-1])
-    indices = rng.integers(0, n_cols, size=nnz).astype(np.int32)
+    indices = rng.integers(0, n_cols, size=nnz).astype(index_dtype)
     data = rng.normal(size=nnz) * 10.0 ** rng.integers(-3, 3, size=nnz)
     zeros = rng.random(nnz) < 0.05
     data[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
@@ -122,11 +132,11 @@ class TestBytewiseProperty:
         self, kernel_name, lengths, n_cols, batch, n_slices,
         special_fraction, infinities, seed,
     ):
-        factory, dtype, exact = KERNELS[kernel_name]
+        factory, dtype, index_dtype, exact = KERNELS[kernel_name]
         kernel = factory()
         accum = kernel.precision.accumulate.dtype
         rng = np.random.default_rng(seed)
-        matrix = _matrix(rng, lengths, n_cols, dtype)
+        matrix = _matrix(rng, lengths, n_cols, dtype, index_dtype)
         specials = WITH_INFINITIES if infinities else FINITE_OR_NAN
         vectors = _weights(rng, n_cols, batch, special_fraction, specials)
         want = [exact(matrix, w, accum) for w in vectors]
@@ -167,6 +177,18 @@ class TestBytewiseProperty:
                 _assert_bits(result(b, w), want[b], out_dtype,
                              f"{name}, vector {b}", same_nan=infinities)
 
+        # The adjoint: A^T @ r through the transpose plan, against the
+        # per-call kernel on the explicit transpose.
+        tplan = compile_transpose_plan(matrix, kernel.plan_family, accum)
+        transposed = matrix.transposed()
+        for b, r in enumerate(
+            _weights(rng, matrix.n_rows, batch, special_fraction, specials)
+        ):
+            _assert_bits(execute_transpose_plan(tplan, r),
+                         exact(transposed, r, accum), accum,
+                         f"execute_transpose_plan, residual {b}",
+                         same_nan=infinities)
+
     def test_zero_nnz_and_signed_zero_rows(self):
         # A row of stored -0.0 values sums to +0.0 in the kernel (lane
         # accumulators start at +0.0); an all-empty matrix stays +0.0.
@@ -188,50 +210,86 @@ class TestBytewiseProperty:
 
 
 class TestCompactLayout:
-    def test_padded_lanes_point_at_the_sentinel(self, rng):
-        m = make_random_csr(rng, n_rows=40, n_cols=20).astype(np.float16)
+    def test_lanes_hold_each_row_in_warp_order(self, rng):
+        m = _matrix(rng, [5, 0, 40, 1, 3, 17, 0, 64, 2, 9, 16, 33], 20,
+                    np.float16)
         plan = compile_plan(m, "vector", np.float64)
-        for g in plan.groups:
-            assert g.cols.dtype == np.int32
-            assert g.cols.shape == g.values.shape == (
-                g.iterations, g.rows.size, 32
-            )
-            padded = g.cols == m.n_cols
-            assert _bits(g.values[padded], np.float64) == _bits(
-                np.zeros(int(padded.sum())), np.float64
-            )
-            lengths = m.row_lengths()[g.rows]
-            assert int((~padded).sum()) == int(lengths.sum())
+        lengths = m.row_lengths()
+        widths = [min(32, 1 << (int(n) - 1).bit_length())
+                  for n in lengths[plan.rows]]
+        # Groups run narrowest first, rows ascending within each group.
+        assert [w for w, _ in plan.lane_groups] == sorted(set(widths))
+        assert widths == sorted(widths)
+        assert sorted(plan.rows.tolist()) == np.flatnonzero(lengths).tolist()
+        for w, count in plan.lane_groups:
+            assert w in LANE_WIDTHS
+            group_rows = [r for r, rw in zip(plan.rows, widths) if rw == w]
+            assert len(group_rows) == count and group_rows == sorted(group_rows)
+        lanes = plan.operator
+        assert lanes.indices.dtype == lanes.indptr.dtype == np.int32
+        assert lanes.data.dtype == np.float64
+        assert lanes.shape == (sum(widths), m.n_cols)
+        # Virtual row (r, l) holds row r's elements l, l + 32, ... in order.
+        v = 0
+        for r, w in zip(plan.rows, widths):
+            start, end = m.indptr[r], m.indptr[r + 1]
+            for lane in range(w):
+                got = slice(lanes.indptr[v], lanes.indptr[v + 1])
+                want = slice(start + lane, end, 32)
+                assert lanes.indices[got].tolist() == m.indices[want].tolist()
+                assert _bits(lanes.data[got], np.float64) == _bits(
+                    m.data[want], np.float64)
+                v += 1
+        for arr in (plan.rows, lanes.data, lanes.indices, lanes.indptr):
+            assert not arr.flags.writeable
 
-    def test_cast_weights_appends_positive_zero(self):
+    def test_cast_weights_is_batch_minor_and_contiguous(self):
         w = np.array([-1.0, np.nan, -0.0])
         xa = cast_weights(w, np.float32)
-        assert xa.shape == (4,) and xa.dtype == np.float32
-        assert _bits(xa[-1:], np.float32) == _bits([0.0], np.float32)
+        assert xa.shape == (3,) and xa.dtype == np.float32
+        assert _bits(xa, np.float32) == _bits(w, np.float32)
         block = cast_weights([w, w], np.float64)
-        assert block.shape == (4, 2)
-        assert _bits(block[-1], np.float64) == _bits([0.0, 0.0], np.float64)
-        assert _bits(cast_weights(np.stack([w, w], axis=1), np.float64),
-                     np.float64) == _bits(block, np.float64)
+        assert block.shape == (3, 2) and block.flags.c_contiguous
+        assert _bits(block[:, 1], np.float64) == _bits(w, np.float64)
+        stacked = cast_weights(np.stack([w, w], axis=1), np.float64)
+        assert stacked.flags.c_contiguous
+        assert _bits(stacked, np.float64) == _bits(block, np.float64)
 
-    def test_into_executors_reject_an_operand_without_the_sentinel(self, rng):
+    def test_into_executors_reject_a_wrong_dtype_or_shape(self, rng):
         m = make_random_csr(rng, n_rows=10, n_cols=8).astype(np.float16)
         plan = compile_plan(m, "vector", np.float64)
+        scalar = compile_plan(m.astype(np.float32), "scalar", np.float32)
+        # A float64 operand would make a float32 plan accumulate in float64.
+        with pytest.raises(DTypeError):
+            execute_plan_into(scalar, np.ones(8), np.zeros(10))
+        with pytest.raises(DTypeError):
+            execute_plan_multi_into(scalar, np.ones((8, 2)), np.zeros((10, 2)))
+        with pytest.raises(DTypeError):
+            execute_plan_into(plan, np.ones(8, np.float32), np.zeros(10))
         with pytest.raises(ShapeError):
-            execute_plan_into(plan, np.ones(8), np.zeros(10))
+            execute_plan_into(plan, np.ones(9), np.zeros(10))
         with pytest.raises(ShapeError):
-            execute_plan_multi_into(plan, np.ones((8, 2)), np.zeros((10, 2)))
+            execute_plan_into(plan, np.ones((8, 1)), np.zeros(10))
+        with pytest.raises(ShapeError):
+            execute_plan_multi_into(plan, np.ones((9, 2)), np.zeros((10, 2)))
+        with pytest.raises(ShapeError):
+            execute_plan_multi_into(plan, np.ones(8), np.zeros((10, 1)))
 
-    def test_sentinel_column_must_fit_int32(self):
+    def test_index_dtype_widens_past_int32(self):
         limit = np.iinfo(np.int32).max
 
-        def empty(n_cols):
-            return CSRMatrix((1, n_cols), np.zeros(0, np.float16),
-                             np.zeros(0, np.int32), np.zeros(2, np.int64))
+        def one_element(n_cols):
+            return CSRMatrix((1, n_cols), np.ones(1, np.float16),
+                             np.array([n_cols - 1], np.int64),
+                             np.array([0, 1], np.int64))
 
-        with pytest.raises(ShapeError, match="int32"):
-            compile_plan(empty(limit), "vector", np.float64)
-        assert compile_plan(empty(limit - 1), "vector", np.float64).nnz == 0
+        wide = compile_plan(one_element(limit + 1), "vector", np.float64)
+        assert wide.operator.indices.dtype == np.int64
+        assert wide.operator.indptr.dtype == np.int64
+        fits = compile_plan(one_element(limit), "vector", np.float64)
+        assert fits.operator.indices.dtype == np.int32
+        assert fits.operator.indptr.dtype == np.int32
+        assert fits.nnz == 1
 
 
 class TestWorkDoneOnce:

@@ -6,17 +6,28 @@ counts, shard counts and submission order must all be invisible in the
 bits.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve.ensemble import (
     EnsembleResult,
+    EnsembleTicket,
     ScenarioEnsembleRequest,
     ensemble_scenario_ids,
     register_ensemble,
     scenario_plan_id,
 )
-from repro.serve.request import Rejected, RejectReason, ServeError
+from repro.serve.request import (
+    EvaluationRequest,
+    EvaluationResult,
+    Rejected,
+    RejectReason,
+    ServeError,
+    Ticket,
+)
 from repro.serve.scheduler import BatchingPolicy
 from repro.serve.service import DoseEvaluationService, ServiceConfig
 from repro.workloads import (
@@ -225,3 +236,54 @@ def test_vmat_csc_column_support_matches_generate(ensemble):
     service = _service()
     service.plans.register("direct", wl.matrix, source="test")
     assert service.plans.get("direct").matrix is wl.matrix
+
+
+class TestEnsembleTimeout:
+    def test_timeout_bounds_the_whole_gather(self):
+        # Scenario s resolves 0.8 * (s + 1) timeouts after the gather
+        # starts, each within one timeout of the previous: the gather
+        # gives up after about one timeout, not one timeout per scenario.
+        timeout = 0.3
+        request = ScenarioEnsembleRequest("e-slow", "plan", np.ones(3))
+        handles = tuple(
+            Ticket(EvaluationRequest(f"e-slow@s{s}", f"plan@s{s}",
+                                     np.ones(3)), submitted_at=0.0)
+            for s in range(3)
+        )
+        timers = [
+            threading.Timer(0.8 * timeout * (s + 1), ticket.resolve, [
+                EvaluationResult(
+                    ticket.request.request_id, ticket.request.plan_id,
+                    "half_double", np.zeros(2), batch_id=s, batch_size=1,
+                    modeled_time_s=0.0, queue_wait_s=0.0, latency_s=0.0,
+                    worker="test", cache_hit=False,
+                )
+            ])
+            for s, ticket in enumerate(handles)
+        ]
+        ticket = EnsembleTicket(request=request, handles=handles)
+        started = time.perf_counter()
+        for timer in timers:
+            timer.start()
+        try:
+            with pytest.raises(ServeError):
+                ticket.outcome(timeout)
+            elapsed = time.perf_counter() - started
+        finally:
+            for timer in timers:
+                timer.join(5.0)
+        assert 0.9 * timeout <= elapsed < 2 * timeout
+        assert not any(timer.is_alive() for timer in timers)
+
+    def test_resolved_scenarios_return_after_the_deadline(self, ensemble):
+        service = _service().start()
+        try:
+            register_ensemble(service, "plan", ensemble)
+            ticket = service.submit_ensemble(_request(ensemble))
+            first = ticket.outcome(60.0)
+            # Every scenario is resolved: a spent budget still gathers.
+            again = ticket.outcome(0.0)
+        finally:
+            service.stop()
+        assert isinstance(first, EnsembleResult)
+        assert again.doses.tobytes() == first.doses.tobytes()
