@@ -16,8 +16,10 @@ counts the way Nsight Compute's ``dram_bytes`` metric would:
 
 Footprints are counted without sorting: a ``bincount`` marks the touched
 elements and the distinct sectors are the increases along the ascending
-touched ids, so pricing a kernel costs O(accesses + vector length) host
-time (DESIGN.md §17).
+touched ids, so pricing raw indices costs O(accesses + vector length)
+host time.  A CSR matrix's touched columns are part of its structure
+summary, so pricing its gather again costs O(distinct columns)
+(DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -62,22 +64,27 @@ def segmented_stream_bytes(
     return ceil_div(payload + slack, sector) * sector
 
 
-def _touched_sectors(
-    idx: np.ndarray, elem_bytes: int, vector_length: int, sector: int
-) -> int:
-    """Distinct ``sector``-byte sectors holding a touched element.
+def _touched_ids(idx: np.ndarray, vector_length: int) -> np.ndarray:
+    """The distinct ids in ``idx``, ascending, without a sort.
 
-    ``idx`` is non-empty.  Raises :class:`ShapeError` naming the first
-    index outside ``[0, vector_length)``; inside that range the count
-    needs no sort: the ascending touched ids map to non-decreasing
-    sectors, so each distinct sector after the first is one increase.
+    Raises :class:`ShapeError` naming the first index outside
+    ``[0, vector_length)``.
     """
     check_index_range(idx, vector_length, "indices")
-    touched = np.flatnonzero(
+    return np.flatnonzero(
         np.bincount(
             idx.ravel().astype(np.intp, copy=False), minlength=vector_length
         )
     )
+
+
+def _touched_sectors(touched: np.ndarray, elem_bytes: int, sector: int) -> int:
+    """Distinct ``sector``-byte sectors holding a touched element.
+
+    ``touched`` is non-empty and ascending, so ``id*elem_bytes // sector``
+    is non-decreasing and each distinct sector after the first is one
+    increase.
+    """
     sectors = touched * elem_bytes // sector
     return 1 + int(np.count_nonzero(sectors[1:] != sectors[:-1]))
 
@@ -126,24 +133,38 @@ def gather_traffic(
     accesses:
         true number of accesses if ``indices`` is a sample.
     """
-    sector = device.sector_bytes
     idx = np.asarray(indices)
     n_accesses = int(accesses if accesses is not None else idx.size)
-    if idx.size == 0:
+    return touched_gather_traffic(
+        _touched_ids(idx, vector_length), elem_bytes, device, n_accesses
+    )
+
+
+def touched_gather_traffic(
+    touched: np.ndarray, elem_bytes: int, device: DeviceSpec, accesses: int
+) -> GatherTraffic:
+    """Model ``accesses`` gathers whose distinct ids are ``touched``.
+
+    ``touched`` lists the distinct accessed ids in ascending order (a
+    CSR matrix's ``structure.touched_columns``); the cost is
+    O(``touched.size``).  An empty ``touched`` prices zero traffic.
+    """
+    if touched.size == 0:
         return GatherTraffic(0, 0, 0)
-    footprint = _touched_sectors(idx, elem_bytes, vector_length, sector) * sector
+    sector = device.sector_bytes
+    footprint = _touched_sectors(touched, elem_bytes, sector) * sector
     # Every access is an L2 transaction of one sector worth of data;
     # consecutive lanes hitting the same sector coalesce, which we model by
     # charging element bytes (the dose matrices gather mostly consecutive
     # columns, so intra-warp coalescing is near-perfect).
-    l2_bytes = n_accesses * elem_bytes
+    l2_bytes = accesses * elem_bytes
     capacity = device.l2_bytes
     if footprint <= capacity:
         return GatherTraffic(footprint, 0, l2_bytes)
     # Streaming-random capacity model: the resident fraction of the
     # footprint hits, the rest misses and refetches a sector.
     miss_rate = 1.0 - capacity / footprint
-    refetch = int(miss_rate * n_accesses) * sector
+    refetch = int(miss_rate * accesses) * sector
     return GatherTraffic(footprint, refetch, l2_bytes)
 
 
@@ -181,7 +202,10 @@ def scatter_traffic(
     n_accesses = int(accesses if accesses is not None else idx.size)
     if idx.size == 0:
         return ScatterTraffic(0, 0)
-    footprint = _touched_sectors(idx, elem_bytes, vector_length, sector) * sector
+    footprint = (
+        _touched_sectors(_touched_ids(idx, vector_length), elem_bytes, sector)
+        * sector
+    )
     per_access = elem_bytes * (2 if read_modify_write else 1)
     l2_bytes = n_accesses * per_access
     dram = footprint

@@ -17,13 +17,13 @@ import numpy as np
 
 from repro.gpu.counters import PerfCounters
 from repro.gpu.device import A100, DeviceSpec
-from repro.gpu.executor import attach_launch_counts, workload_profile
-from repro.gpu.launch import thread_per_item_launch
-from repro.gpu.memory import (
-    contiguous_stream_bytes,
-    gather_traffic,
-    output_write_bytes,
+from repro.gpu.executor import (
+    attach_launch_counts,
+    csr_gather_traffic,
+    workload_profile,
 )
+from repro.gpu.launch import thread_per_item_launch
+from repro.gpu.memory import contiguous_stream_bytes, output_write_bytes
 from repro.gpu.timing import KernelTraits, TimingEstimate, estimate_gpu_time
 from repro.kernels.base import KernelResult, SpMVKernel
 from repro.kernels.plan import (
@@ -109,9 +109,7 @@ class ScalarCSRKernel(SpMVKernel):
         c.dram_bytes_rows = contiguous_stream_bytes(
             matrix.n_rows + 1, 4
         ) + output_write_bytes(matrix.n_rows, prec.vector.nbytes)
-        gather = gather_traffic(
-            matrix.indices, prec.vector.nbytes, matrix.n_cols, device
-        )
+        gather = csr_gather_traffic(matrix, prec.vector.nbytes, device)
         c.dram_bytes_cols = gather.compulsory_dram_bytes
         c.dram_bytes_refetch = gather.refetch_dram_bytes
         # One full sector of L2 traffic per element load: the uncoalesced
@@ -119,7 +117,7 @@ class ScalarCSRKernel(SpMVKernel):
         c.l2_bytes = 2.0 * matrix.nnz * device.sector_bytes + gather.l2_bytes
         c.l2_bytes_rows = c.dram_bytes_rows
         # Divergence: each warp of 32 consecutive rows runs for the longest
-        # row among them.
+        # row among them (one O(rows) pass; this kernel serves no batches).
         n_warps = (matrix.n_rows + WARP - 1) // WARP
         pad = np.zeros(n_warps * WARP, dtype=np.int64)
         pad[: matrix.n_rows] = lengths

@@ -30,12 +30,16 @@ import numpy as np
 from repro.gpu.coop import WarpTile
 from repro.gpu.counters import PerfCounters
 from repro.gpu.device import A100, DeviceSpec
-from repro.gpu.executor import attach_launch_counts, warp_work, workload_profile
+from repro.gpu.executor import (
+    attach_launch_counts,
+    csr_gather_traffic,
+    warp_work,
+    workload_profile,
+)
 from repro.gpu.launch import warp_per_row_launch
 from repro.gpu.memory import (
     GatherTraffic,
     contiguous_stream_bytes,
-    gather_traffic,
     output_write_bytes,
 )
 from repro.gpu.timing import KernelTraits, TimingEstimate, estimate_gpu_time
@@ -134,20 +138,13 @@ class VectorCSRKernel(SpMVKernel):
                 "convert with CSRMatrix.astype first"
             )
 
-    def _counters(
-        self,
-        matrix: CSRMatrix,
-        device: DeviceSpec,
-        gather: Optional[GatherTraffic] = None,
-    ) -> PerfCounters:
+    def _counters(self, matrix: CSRMatrix, device: DeviceSpec) -> PerfCounters:
         """Accounting half: DRAM/L2 traffic of the warp-per-row pattern.
 
-        ``gather`` is the input-vector gather's traffic when the caller
-        has already priced it (it depends only on structure and device).
+        Reads only the matrix's structure summary, so pricing a matrix
+        again makes no pass over its stored elements.
         """
         prec = self.precision
-        lengths = matrix.row_lengths()
-        n_nonempty = int(np.count_nonzero(lengths))
         work = warp_work(matrix, WARP)
         c = PerfCounters()
         c.flops = 2.0 * matrix.nnz
@@ -158,7 +155,8 @@ class VectorCSRKernel(SpMVKernel):
         c.dram_bytes_nnz = contiguous_stream_bytes(
             matrix.nnz, prec.matrix.nbytes, device.sector_bytes
         ) + contiguous_stream_bytes(matrix.nnz, prec.index_bytes, device.sector_bytes)
-        alignment_slack = n_nonempty * device.sector_bytes  # half sector x 2 arrays
+        # Half a sector per non-empty row for each of the two arrays.
+        alignment_slack = matrix.structure.n_nonempty_rows * device.sector_bytes
         # One row_ptr entry per row (amortized; the paper's 4 bytes/row)
         # plus the output-vector write (8 bytes/row).
         c.dram_bytes_rows = (
@@ -168,8 +166,7 @@ class VectorCSRKernel(SpMVKernel):
             )
             + alignment_slack
         )
-        if gather is None:
-            gather = self._gather(matrix, device)
+        gather = self._gather(matrix, device)
         c.dram_bytes_cols = gather.compulsory_dram_bytes
         c.dram_bytes_refetch = gather.refetch_dram_bytes
         c.l2_bytes = c.dram_bytes_nnz + gather.l2_bytes
@@ -187,9 +184,7 @@ class VectorCSRKernel(SpMVKernel):
 
     def _gather(self, matrix: CSRMatrix, device: DeviceSpec) -> GatherTraffic:
         """L2 traffic of gathering the input vector at every column index."""
-        return gather_traffic(
-            matrix.indices, self.precision.vector.nbytes, matrix.n_cols, device
-        )
+        return csr_gather_traffic(matrix, self.precision.vector.nbytes, device)
 
     def multi_counters(
         self, matrix: CSRMatrix, device: DeviceSpec, batch: int = 1
@@ -206,11 +201,11 @@ class VectorCSRKernel(SpMVKernel):
         """
         if batch < 1:
             raise ShapeError(f"batch must be >= 1, got {batch}")
-        gather = self._gather(matrix, device)
-        c = self._counters(matrix, device, gather)
+        c = self._counters(matrix, device)
         if batch == 1:
             return c
         prec = self.precision
+        gather = self._gather(matrix, device)
         extra = float(batch - 1)
         out_bytes = output_write_bytes(
             matrix.n_rows, prec.vector.nbytes, device.sector_bytes

@@ -16,7 +16,7 @@ from repro.sparse.convert import (
     sellcs_to_csr,
 )
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, CSRStructure
 from repro.sparse.ellpack import ELLMatrix
 from repro.sparse.io import load_csr, load_rscf, save_csr, save_rscf
 from repro.sparse.partition import (
@@ -46,6 +46,7 @@ from repro.sparse.synth import banded, dose_like, lognormal_rows, uniform_random
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
+    "CSRStructure",
     "ELLMatrix",
     "RSCFMatrix",
     "SellCSigmaMatrix",

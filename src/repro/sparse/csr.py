@@ -12,11 +12,15 @@ column of each value, ``indptr`` with the start of each row) rather than using
 * the index width is explicit (``int32`` by default, ``uint16`` available for
   the column-index-width ablation the paper proposes as future work);
 * the GPU simulator can inspect raw arrays to count memory transactions.
+
+Pricing a matrix reads its :class:`CSRStructure`, which the matrix builds
+from its frozen arrays the first time it is priced and then holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -29,6 +33,66 @@ VALUE_DTYPES = (np.float16, np.float32, np.float64)
 
 #: Index dtypes supported for ``indices`` (column indices).
 INDEX_DTYPES = (np.int32, np.int64, np.uint16, np.uint32)
+
+
+def _frozen_private(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied first if another owner can still
+    write its memory.
+
+    Freezing a view leaves its base writeable, so a view whose memory
+    belongs to a writeable array or a foreign buffer is copied.  An array
+    that owns its memory, or a view of read-only arrays, is frozen in
+    place.
+    """
+    owner = arr.base
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class CSRStructure:
+    """The device-independent structure pricing a CSR matrix reads.
+
+    Built in one pass over each of the matrix's index arrays; both of
+    its arrays are read-only.  :mod:`repro.gpu` derives warp iterations,
+    idle lanes, the workload profile and the gather footprint from it in
+    exact integers, so pricing a matrix again passes over none of its
+    stored elements (DESIGN.md §17).
+    """
+
+    #: ``row_length_counts[n]`` rows hold ``n`` stored elements.
+    row_length_counts: np.ndarray
+    #: rows holding at least one stored element.
+    n_nonempty_rows: int
+    #: mean and standard deviation of the non-empty rows' lengths
+    #: (both 0.0 when every row is empty).
+    mean_row_length: float
+    std_row_length: float
+    #: the distinct column ids the stored elements reference, ascending.
+    touched_columns: np.ndarray
+
+    @staticmethod
+    def of(indices: np.ndarray, indptr: np.ndarray, n_cols: int) -> "CSRStructure":
+        """Summarize CSR arrays whose indices lie in ``[0, n_cols)``."""
+        lengths = np.diff(indptr).astype(np.intp, copy=False)
+        counts = np.bincount(lengths)
+        nonempty = lengths[lengths > 0].astype(np.float64)
+        touched = np.flatnonzero(
+            np.bincount(indices.astype(np.intp, copy=False), minlength=n_cols)
+        )
+        for arr in (counts, touched):
+            arr.setflags(write=False)
+        return CSRStructure(
+            row_length_counts=counts,
+            n_nonempty_rows=int(nonempty.size),
+            mean_row_length=float(nonempty.mean()) if nonempty.size else 0.0,
+            std_row_length=float(nonempty.std()) if nonempty.size else 0.0,
+            touched_columns=touched,
+        )
 
 
 @dataclass(frozen=True)
@@ -81,12 +145,11 @@ class CSRMatrix:
         if np.any(np.diff(indptr) < 0):
             raise FormatError("indptr must be monotonically non-decreasing")
         check_index_range(indices, n_cols, "indices")
-        # Freeze the buffers so the dataclass is genuinely immutable.
-        for arr in (data, indices, indptr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "indptr", indptr)
+        # Freeze the buffers so the dataclass, and the structure summary
+        # derived from it, are genuinely immutable.
+        object.__setattr__(self, "data", _frozen_private(data))
+        object.__setattr__(self, "indices", _frozen_private(indices))
+        object.__setattr__(self, "indptr", _frozen_private(indptr))
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -161,6 +224,16 @@ class CSRMatrix:
     def row_lengths(self) -> np.ndarray:
         """Non-zeros per row, length ``n_rows`` (int64)."""
         return np.diff(self.indptr)
+
+    @cached_property
+    def structure(self) -> CSRStructure:
+        """The summary pricing reads, built the first time it is asked for.
+
+        It lives and dies with the matrix and derives from arrays frozen
+        at construction, so it needs no key, no eviction and cannot go
+        stale.
+        """
+        return CSRStructure.of(self.indices, self.indptr, self.n_cols)
 
     def nbytes(self) -> int:
         """Total bytes of the three storage arrays."""

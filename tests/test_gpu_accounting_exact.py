@@ -1,14 +1,17 @@
 """The linear-time accounting half prices exactly what the sort-based one did.
 
 ``gather_traffic``/``scatter_traffic`` count a footprint with a bincount
-instead of ``np.unique``, and ``warp_work`` counts idle lanes in closed
-form.  The modeled clock must not move: the reference formulas below are
-the sort-based ones, and every counter field and modeled time is compared
-with ``==`` against them, down to whole kernels on every registered
-kernel, matrix shape and device.
+instead of ``np.unique``, ``warp_work`` counts idle lanes in closed form,
+and CSR kernels price from the matrix's structure summary
+(``CSRMatrix.structure``).  The modeled clock must not move: the
+reference formulas below are the sort-based ones, computed from the raw
+arrays, and every counter field and modeled time is compared with ``==``
+against them, down to whole kernels on every registered kernel, matrix
+shape and device.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,11 +27,19 @@ from repro.gpu.memory import (
     gather_traffic,
     scatter_traffic,
 )
-from repro.kernels import baseline, csr_scalar, csr_vector, format_kernels
+from repro.gpu.timing import WorkloadProfile
+from repro.kernels import (
+    baseline,
+    csr_scalar,
+    csr_vector,
+    cusparse_model,
+    format_kernels,
+    ginkgo_model,
+)
 from repro.kernels.batched import run_multi_spmv
 from repro.kernels.csr_vector import VectorCSRKernel
 from repro.kernels.dispatch import kernel_names, make_kernel
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, CSRStructure
 from repro.util.errors import ReproError, ShapeError
 from repro.workloads import generate_robust_ensemble
 
@@ -94,12 +105,90 @@ def reference_warp_work(matrix, warp_size=32):
     )
 
 
+def reference_workload_profile(matrix):
+    lengths = matrix.row_lengths().astype(np.float64)
+    nonempty = lengths[lengths > 0]
+    if nonempty.size == 0:
+        return WorkloadProfile(avg_row_len=0.0, rowlen_cv=0.0)
+    mean = float(nonempty.mean())
+    std = float(nonempty.std())
+    return WorkloadProfile(
+        avg_row_len=mean, rowlen_cv=std / mean if mean else 0.0
+    )
+
+
+def reference_csr_gather_traffic(matrix, elem_bytes, device):
+    return reference_gather_traffic(
+        matrix.indices, elem_bytes, matrix.n_cols, device
+    )
+
+
+def reference_structure(indices, indptr, n_cols):
+    """Every quantity of the structure summary, by sorting the raw arrays."""
+    lengths = np.diff(indptr).astype(np.int64)
+    values, rows_per_value = np.unique(lengths, return_counts=True)
+    counts = np.zeros(int(lengths.max(initial=0)) + 1, np.int64)
+    counts[values] = rows_per_value
+    nonempty = lengths[lengths > 0].astype(np.float64)
+    return CSRStructure(
+        row_length_counts=counts,
+        n_nonempty_rows=int(np.count_nonzero(lengths)),
+        mean_row_length=float(nonempty.mean()) if nonempty.size else 0.0,
+        std_row_length=float(nonempty.std()) if nonempty.size else 0.0,
+        touched_columns=np.unique(np.asarray(indices, np.int64)),
+    )
+
+
+#: the references each kernel's pricing runs, by kernel class.
+_CSR_WARP_PER_ROW = {
+    "structure", "warp_work", "workload_profile", "csr_gather_traffic",
+}
+REFERENCES_RUN = {
+    "VectorCSRKernel": _CSR_WARP_PER_ROW,
+    "CuSparseLikeKernel": _CSR_WARP_PER_ROW,
+    "GinkgoLikeKernel": _CSR_WARP_PER_ROW,
+    "ScalarCSRKernel": {"workload_profile", "csr_gather_traffic"},
+    "ELLPACKKernel": {"gather_traffic"},
+    "SellCSigmaKernel": {"gather_traffic"},
+    "GPUBaselineKernel": {"scatter_traffic"},
+    "CPURayStationKernel": set(),
+}
+
+
 def use_reference_accounting(monkeypatch):
-    """Route every kernel module's accounting through the references."""
-    for module in (csr_vector, csr_scalar, format_kernels):
-        monkeypatch.setattr(module, "gather_traffic", reference_gather_traffic)
-    monkeypatch.setattr(baseline, "scatter_traffic", reference_scatter_traffic)
-    monkeypatch.setattr(csr_vector, "warp_work", reference_warp_work)
+    """Route every kernel module's accounting through the references.
+
+    Returns a counter of the references' calls by name.
+    """
+    ran = Counter()
+
+    def counted(name, reference):
+        def call(*args, **kwargs):
+            ran[name] += 1
+            return reference(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(
+        CSRStructure, "of",
+        staticmethod(counted("structure", reference_structure)),
+    )
+    monkeypatch.setattr(csr_vector, "warp_work",
+                        counted("warp_work", reference_warp_work))
+    for module in (csr_vector, csr_scalar, cusparse_model, ginkgo_model):
+        monkeypatch.setattr(
+            module, "workload_profile",
+            counted("workload_profile", reference_workload_profile),
+        )
+    for module in (csr_vector, csr_scalar):
+        monkeypatch.setattr(
+            module, "csr_gather_traffic",
+            counted("csr_gather_traffic", reference_csr_gather_traffic),
+        )
+    monkeypatch.setattr(format_kernels, "gather_traffic",
+                        counted("gather_traffic", reference_gather_traffic))
+    monkeypatch.setattr(baseline, "scatter_traffic",
+                        counted("scatter_traffic", reference_scatter_traffic))
+    return ran
 
 
 def fields(record):
@@ -261,45 +350,59 @@ def masters(tiny_liver_case):
     }
 
 
-def priced(kernel_name, master, device):
-    """Counters and modeled times of one kernel on one matrix, or the
-    type of the error the kernel rejects the matrix with."""
+def fresh_copy(master):
+    """``master`` with new arrays, so no structure summary carries over."""
+    return CSRMatrix(master.shape, master.data.copy(), master.indices.copy(),
+                     master.indptr.copy())
+
+
+def priced(kernel_name, master):
+    """Counters and modeled times of one kernel on a fresh copy of one
+    matrix, by device, or the type of the error it rejects the matrix
+    with.  One converted matrix is priced on every device in turn."""
+    kernel = make_kernel(kernel_name)
+    x = np.linspace(0.5, 1.5, master.n_cols)
     try:
-        matrix = convert_for_kernel(master, kernel_name)
-        kernel = make_kernel(kernel_name)
-        x = np.linspace(0.5, 1.5, master.n_cols)
-        result = kernel.run(matrix, x, device=device, rng=0)
+        matrix = convert_for_kernel(fresh_copy(master), kernel_name)
     except (ReproError, ValueError) as exc:
-        return ("rejected", type(exc).__name__)
-    record = [fields(result.counters), result.timing.time_s]
-    if isinstance(kernel, VectorCSRKernel):
-        for batch in (1, 2, 8):
-            record.append(fields(kernel.multi_counters(matrix, device, batch)))
-            record.append(
-                kernel.model_timing(matrix, device, batch=batch).time_s
-            )
-    return record
+        return {d.name: ("rejected", type(exc).__name__) for d in DEVICES}
+    records = {}
+    for device in DEVICES:
+        try:
+            result = kernel.run(matrix, x, device=device, rng=0)
+        except (ReproError, ValueError) as exc:
+            records[device.name] = ("rejected", type(exc).__name__)
+            continue
+        record = [fields(result.counters), result.timing.time_s]
+        if isinstance(kernel, VectorCSRKernel):
+            for batch in (1, 2, 8):
+                record.append(
+                    fields(kernel.multi_counters(matrix, device, batch))
+                )
+                record.append(
+                    kernel.model_timing(matrix, device, batch=batch).time_s
+                )
+        records[device.name] = record
+    return records
 
 
 @pytest.mark.parametrize("kernel_name", kernel_names())
 def test_kernel_pricing_equals_sort_based_pricing(
     kernel_name, masters, monkeypatch
 ):
-    linear = {
-        (case, device.name): priced(kernel_name, master, device)
-        for case, master in masters.items()
-        for device in DEVICES
-    }
-    use_reference_accounting(monkeypatch)
+    linear = {case: priced(kernel_name, master)
+              for case, master in masters.items()}
+    ran = use_reference_accounting(monkeypatch)
     for case, master in masters.items():
-        for device in DEVICES:
-            assert linear[(case, device.name)] == priced(
-                kernel_name, master, device
-            ), (kernel_name, case, device.name)
+        assert linear[case] == priced(kernel_name, master), (
+            kernel_name, case)
+    # The reference leg ran every reference this kernel's pricing reads,
+    # and nothing it priced came from a summary the linear leg built.
+    assert set(ran) == REFERENCES_RUN[type(make_kernel(kernel_name)).__name__]
     # Liver 1 prices on all three GPUs (the clinical CPU kernel: the CPU).
     for case in ("liver1_tiny", "robust_scenario_1"):
-        priced_on = {d.name for d in DEVICES
-                     if linear[(case, d.name)][0] != "rejected"}
+        priced_on = {name for name, record in linear[case].items()
+                     if record[0] != "rejected"}
         assert priced_on in (
             {d.name for d in GPU_DEVICES}, {CPU_I9_7940X.name}
         ), (case, priced_on)
@@ -318,3 +421,20 @@ def test_run_multi_spmv_sorts_nothing(tiny_liver_case, monkeypatch):
     result = run_multi_spmv(kernel, matrix, weights, device=A100, plan=plan)
     assert result.batched_time_s > 0
     assert len(result.per_vector) == 3
+
+
+def test_pricing_a_matrix_again_counts_nothing(tiny_liver_case, monkeypatch):
+    kernel = make_kernel("half_double")
+    matrix = convert_for_kernel(tiny_liver_case.matrix, "half_double")
+    plan = kernel.prepare_plan(matrix)
+    weights = [np.full(matrix.n_cols, 1.0 + b) for b in range(3)]
+    first = run_multi_spmv(kernel, matrix, weights, device=A100, plan=plan)
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("numpy.bincount called while pricing again")
+
+    monkeypatch.setattr(np, "bincount", no_count)
+    again = run_multi_spmv(kernel, matrix, weights, device=A100, plan=plan)
+    assert again.batched_time_s == first.batched_time_s
+    assert kernel.model_timing(matrix, V100, batch=4).time_s > 0
+    assert kernel.run(matrix, weights[0], device=P100).timing.time_s > 0

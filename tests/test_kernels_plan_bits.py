@@ -27,9 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels.batched as batched_module
-import repro.kernels.csr_vector as csr_vector_module
 from repro.dist.evaluator import ShardedEvaluator
-from repro.gpu.device import A100
+from repro.gpu.device import A100, V100
 from repro.kernels.batched import run_multi_spmv
 from repro.kernels.csr_scalar import ScalarCSRKernel, scalar_csr_spmv_exact
 from repro.kernels.csr_vector import (
@@ -52,7 +51,7 @@ from repro.kernels.plan import (
     execute_sharded_plan_multi,
     execute_transpose_plan,
 )
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, CSRStructure
 from repro.sparse.partition import extract_row_block, partition_rows_balanced
 from repro.util.errors import DTypeError, ShapeError
 from tests.conftest import make_random_csr
@@ -294,20 +293,27 @@ class TestCompactLayout:
 
 class TestWorkDoneOnce:
     def test_multi_counters_prices_the_gather_once(self, rng, monkeypatch):
+        # Once per matrix: the one pass over the column indices is the
+        # structure summary's, and no later pricing makes another.
         m = make_random_csr(rng, n_rows=60, n_cols=30).astype(np.float16)
         kernel = HalfDoubleKernel()
         calls = []
-        original = csr_vector_module.gather_traffic
+        original = CSRStructure.of
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(csr_vector_module, "gather_traffic", counting)
+        monkeypatch.setattr(CSRStructure, "of", staticmethod(counting))
+        first = kernel.multi_counters(m, A100, 1)
+        assert len(calls) == 1
         for batch in (1, 2, 8):
-            calls.clear()
             kernel.multi_counters(m, A100, batch)
-            assert len(calls) == 1, f"batch {batch}"
+        kernel.run(m, 0.5 + rng.random(30))
+        kernel.model_timing(m, A100, batch=4)
+        kernel.multi_counters(m, V100, 8)
+        assert len(calls) == 1
+        assert kernel.multi_counters(m, A100, 1) == first
 
     def test_spmm_receives_every_vector_but_the_first(self, rng,
                                                       monkeypatch):
