@@ -6,7 +6,9 @@ The paper's kernel partitions each thread block into 32-thread tiles
 combination order*: ``cg::reduce`` on a warp performs a 5-round butterfly
 (shuffle) tree.  This module implements that order, both for a single warp
 and vectorized across many warps at once (how the simulator executes all
-rows of the matrix efficiently).
+rows of the matrix efficiently).  :class:`WarpTile` is the one place the
+round order lives: compiled plans run it in place over a leading lane
+axis, the per-call kernels on a copy.
 """
 
 from __future__ import annotations
@@ -41,16 +43,18 @@ class WarpTile:
         matching CUDA's behaviour for out-of-range source lanes.
         """
         lanes = np.asarray(lanes)
-        if lanes.shape[-1] != self.width:
-            raise LaunchConfigError(
-                f"lane axis has {lanes.shape[-1]} entries, tile width is "
-                f"{self.width}"
-            )
+        self._check_lanes(lanes.shape[-1])
         out = lanes.copy()
         if delta <= 0:
             return out
         out[..., : self.width - delta] = lanes[..., delta:]
         return out
+
+    def _check_lanes(self, n_lanes: int) -> None:
+        if n_lanes != self.width:
+            raise LaunchConfigError(
+                f"lane axis has {n_lanes} entries, tile width is {self.width}"
+            )
 
     def reduce_add(self, lanes: np.ndarray, axis: int = -1) -> np.ndarray:
         """``cg::reduce(tile, v, plus)`` — butterfly tree sum.
@@ -59,29 +63,36 @@ class WarpTile:
         the reduction is vectorized over every other axis, so one call
         reduces every warp of a launch — and every column of a batch —
         simultaneously *in the identical per-warp order* hardware would
-        use.
+        use.  ``lanes`` is left untouched: the rounds of
+        :meth:`reduce_add_in_place` run on a private copy.
 
         Returns the reduced values with the lane axis removed.
         """
         lanes = np.asarray(lanes)
         axis = axis % lanes.ndim
-        if lanes.shape[axis] != self.width:
-            raise LaunchConfigError(
-                f"lane axis has {lanes.shape[axis]} entries, tile width is "
-                f"{self.width}"
-            )
+        self._check_lanes(lanes.shape[axis])
+        return self.reduce_add_in_place(np.moveaxis(lanes, axis, 0).copy()).copy()
 
-        before = (slice(None),) * axis  # index prefix up to the lane axis
-        acc = lanes
+    def reduce_add_in_place(self, lanes: np.ndarray) -> np.ndarray:
+        """:meth:`reduce_add` over the leading axis, in place.
+
+        Round ``h`` (``width/2``, ..., 1) adds lane ``i + h`` into lane
+        ``i`` for every ``i < h``, with ``np.add(..., out=...)`` over two
+        halves of ``lanes`` (contiguous when ``lanes`` is C-contiguous).
+        Every lane of ``lanes`` is overwritten with an intermediate sum,
+        and nothing is allocated.  Returns lane 0, a view of ``lanes``
+        (a scalar when ``lanes`` is 1-D).
+        """
+        self._check_lanes(lanes.shape[0])
         stride = self.width // 2
         while stride >= 1:
             # shuffle-down round: lane i += lane i+stride.  Lanes at or
-            # above ``stride`` are never read again, so each round keeps
+            # above ``stride`` are never read again, so each round touches
             # only the lanes that still feed lane 0.
-            acc = (acc[before + (slice(0, stride),)]
-                   + acc[before + (slice(stride, 2 * stride),)])
+            np.add(lanes[:stride], lanes[stride:2 * stride],
+                   out=lanes[:stride])
             stride //= 2
-        return acc[before + (0,)].copy()
+        return lanes[0]
 
     @property
     def reduce_rounds(self) -> int:

@@ -181,11 +181,12 @@ def run_multi_spmv(
 ) -> MultiVectorSpMVResult:
     """Evaluate ``A @ w`` for many weight vectors against one matrix.
 
-    Kernels with a precompiled-plan family take the true SpMM path: the
-    plan (passed in, or fetched from the process-global cache) evaluates
-    all vectors per gathered chunk via
-    :func:`repro.kernels.plan.execute_plan_multi`, streaming the matrix
-    once for the whole batch.  Every per-vector dose stays bitwise
+    Kernels with a precompiled-plan family take the SpMM path with the
+    plan (passed in, or fetched from the process-global cache): vector 0
+    runs through ``kernel.run``, which also prices the launch, and the
+    other ``B - 1`` vectors through one lane product of
+    :func:`repro.kernels.plan.execute_plan_multi`, which streams the
+    operator once for all of them.  Every per-vector dose stays bitwise
     identical to a stand-alone evaluation — the fast path changes cost,
     never results.  Kernels without plan support fall back to
     back-to-back launches whose batch saves only launch overhead.

@@ -12,12 +12,14 @@ Lane ``l`` of row ``r`` adds the row's elements ``l, l + 32, ...`` from
 ``+0.0``; each such lane is a *virtual row* of one lane-expanded CSR
 operator with pre-widened values.  SciPy's CSR product sums every row in
 stored order from ``+0.0``, so ``operator @ W`` gives every lane sum bit
-for bit, and the butterfly of :meth:`WarpTile.reduce_add` finishes each
-row.  A row shorter than 32 gets the smallest power-of-two lane count
-that covers it: the butterfly rounds it skips would add ``+0.0`` to sums
-that are never ``-0.0``.  The scalar family is the same operator with
-one lane per row.  :func:`probe_summation_order` checks SciPy's loop
-once, at import.
+for bit.  Rows of one lane width form a lane-major group (lane 0 of
+every row, then lane 1, ...), so the butterfly of
+:meth:`WarpTile.reduce_add_in_place` finishes each row in place on the
+product's output, adding contiguous halves.  A row shorter than 32 gets
+the smallest power-of-two lane count that covers it: the butterfly
+rounds it skips would add ``+0.0`` to sums that are never ``-0.0``.  The
+scalar family is the same operator with one lane per row.
+:func:`probe_summation_order` checks SciPy's loop once, at import.
 
 Two executors consume a plan: :func:`execute_plan` (one weight vector)
 and :func:`execute_plan_multi` (the SpMM path: all ``B`` vectors of a
@@ -135,9 +137,11 @@ class SpMVPlan:
 
     ``operator`` is the lane-expanded CSR (values in the accumulation
     dtype).  Its virtual rows come in lane groups, narrowest first;
-    ``lane_groups`` lists each group's ``(width, row count)``, a group
-    holds its rows ascending, each row's lanes in order, and ``rows``
-    lists those output rows group after group (empty rows have none).
+    ``lane_groups`` lists each group's ``(width, row count)``, and
+    ``rows`` lists the output rows group after group, ascending within a
+    group (empty rows have none).  A group is lane-major: its virtual
+    row ``l * count + r`` is lane ``l`` of its ``r``-th row, so its lane
+    sums reshape to ``(width, count, *batch)``.
 
     The plan keeps strong references to the source matrix's ``data`` and
     ``indices`` arrays: :meth:`matches` is an identity check, and the
@@ -191,13 +195,17 @@ def _lane_operator(
 
     A row of length ``n`` gets the narrowest width in ``LANE_WIDTHS`` that
     is at least ``min(n, lanes)`` (none when empty); its lane ``l`` holds
-    the stored elements ``l, l + lanes, ...``.  Each element's source
-    position is computed from its virtual row; no element is sorted.
+    the stored elements ``l, l + lanes, ...``.  A group of ``k`` rows at
+    width ``w`` is lane-major: its virtual row ``l * k + r`` is lane ``l``
+    of its ``r``-th row.  Each element's source position is computed from
+    its virtual row; no element is sorted.
     """
     widths = np.array(LANE_WIDTHS[: LANE_WIDTHS.index(lanes) + 1])
     lengths = np.diff(matrix.indptr)
     active = np.flatnonzero(lengths)
-    group = np.searchsorted(widths, np.minimum(lengths[active], lanes))
+    # uint8 group ids let the stable argsort run as a radix sort.
+    group = np.searchsorted(
+        widths, np.minimum(lengths[active], lanes)).astype(np.uint8)
     sizes = np.bincount(group, minlength=widths.size)
     rows = active[np.argsort(group, kind="stable")]
     lane_groups = tuple((int(w), int(n)) for w, n in zip(widths, sizes) if n)
@@ -210,17 +218,22 @@ def _lane_operator(
         np.int32).max
     index_dtype = np.int32 if fits else np.int64
 
-    # Virtual row v, lane ``v - start[i]`` of active row i, starts at
-    # ``indptr[row] - start[i] + v``; it holds ``ceil((len - lane) / lanes)``.
-    row_width = np.repeat(widths.astype(index_dtype), sizes)
-    start = np.cumsum(row_width, dtype=index_dtype) - row_width
-    v = np.arange(n_virtual, dtype=index_dtype)
-    first = np.repeat(
-        (matrix.indptr[rows] - start).astype(index_dtype), row_width
-    ) + v
-    count = np.repeat(
-        (lengths[rows] + start + (lanes - 1)).astype(index_dtype), row_width
-    ) - v
+    # Lane l of a row starts at ``indptr[row] + l`` and holds
+    # ``ceil((len - l) / lanes)`` elements; each group fills its
+    # ``(width, rows)`` block of both arrays by broadcasting.
+    row_first = matrix.indptr[rows].astype(index_dtype)
+    row_count = (lengths[rows] + (lanes - 1)).astype(index_dtype)
+    first = np.empty(n_virtual, dtype=index_dtype)
+    count = np.empty(n_virtual, dtype=index_dtype)
+    v = r = 0
+    for width, n in lane_groups:
+        lane = np.arange(width, dtype=index_dtype)[:, None]
+        block = slice(v, v + width * n)
+        np.add(row_first[r:r + n], lane, out=first[block].reshape(width, n))
+        np.subtract(row_count[r:r + n], lane,
+                    out=count[block].reshape(width, n))
+        v += width * n
+        r += n
     count //= lanes
     indptr = np.empty(n_virtual + 1, dtype=index_dtype)
     indptr[0] = 0
@@ -392,17 +405,20 @@ def _execute(plan: SpMVPlan, operand: np.ndarray, out: np.ndarray) -> None:
     """Run ``plan`` on a cast operand of shape ``(n_cols, *batch)``.
 
     ``batch`` is ``()`` or ``(B,)``.  One product gives every lane sum in
-    the kernel's order; each lane group's sums reshape to
-    ``(rows, width, *batch)`` for the butterfly of
-    :meth:`WarpTile.reduce_add`, which the batch axis only broadcasts.
+    the kernel's order.  A lane group is lane-major, so its sums reshape
+    to ``(width, rows, *batch)`` and :meth:`WarpTile.reduce_add_in_place`
+    runs the butterfly in place on the product's own output, each round
+    over two contiguous halves; the batch axis only broadcasts.  The
+    product's output is private to this call, and nothing else is
+    allocated.
     """
     lane_sums = _lane_sums(plan.operator, operand)
     batch = operand.shape[1:]
     lane = row = 0
     for width, count in plan.lane_groups:
         sums = lane_sums[lane:lane + width * count]
-        out[plan.rows[row:row + count]] = WarpTile(width).reduce_add(
-            sums.reshape((count, width) + batch), axis=1
+        out[plan.rows[row:row + count]] = WarpTile(width).reduce_add_in_place(
+            sums.reshape((width, count) + batch)
         )
         lane += width * count
         row += count

@@ -36,7 +36,7 @@ def coo_to_csr(
     counts = np.bincount(dedup.rows.astype(np.int64), minlength=dedup.n_rows)
     indptr = np.zeros(dedup.n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return CSRMatrix(
+    return CSRMatrix._adopt(
         dedup.shape,
         dedup.data.astype(value_dtype),
         dedup.cols.astype(index_dtype),
@@ -90,7 +90,7 @@ def ellpack_to_csr(
         k = int(lengths[i])
         data[indptr[i] : indptr[i] + k] = ell.values[i, :k]
         indices[indptr[i] : indptr[i] + k] = ell.col_indices[i, :k]
-    return CSRMatrix(ell.shape, data, indices, indptr)
+    return CSRMatrix._adopt(ell.shape, data, indices, indptr)
 
 
 def csr_to_sellcs(
@@ -165,7 +165,7 @@ def sellcs_to_csr(
             k = int(sell.row_lengths[slot])
             data[indptr[row] : indptr[row] + k] = vals[local, :k]
             indices[indptr[row] : indptr[row] + k] = cols[local, :k]
-    return CSRMatrix(sell.shape, data, indices, indptr)
+    return CSRMatrix._adopt(sell.shape, data, indices, indptr)
 
 
 def csr_to_rscf(csr: CSRMatrix) -> RSCFMatrix:
@@ -267,7 +267,7 @@ def rscf_to_csr(
     row_counts = np.bincount(entry_rows, minlength=n_rows)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
-    return CSRMatrix(
+    return CSRMatrix._adopt(
         rscf.shape,
         entry_vals.astype(value_dtype),
         entry_cols.astype(index_dtype),

@@ -36,15 +36,17 @@ INDEX_DTYPES = (np.int32, np.int64, np.uint16, np.uint32)
 
 
 def _frozen_private(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, copied first if another owner can still
-    write its memory.
+    """``arr`` made read-only, copied first unless nothing else can write
+    its memory.
 
-    Freezing a view leaves its base writeable, so a view whose memory
-    belongs to a writeable array or a foreign buffer is copied.  An array
-    that owns its memory, or a view of read-only arrays, is frozen in
-    place.
+    A writeable array is copied: its caller, or a view the caller took of
+    it earlier, can still write it, and NumPy records no link from an
+    array to its views.  So is a read-only view whose memory belongs to a
+    writeable array or a foreign buffer.  A read-only array that owns its
+    memory, or a read-only view of read-only arrays (a block sliced from
+    a frozen matrix), is kept as it is.
     """
-    owner = arr.base
+    owner = arr
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
     if owner is not None:
@@ -156,6 +158,23 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
 
     @staticmethod
+    def _adopt(
+        shape: Tuple[int, int],
+        data: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+    ) -> "CSRMatrix":
+        """Build from arrays made for this matrix, without copying them.
+
+        For code in :mod:`repro.sparse` that has just created the arrays
+        and keeps no other reference: they are frozen first, so the
+        constructor keeps each one that owns its memory.
+        """
+        for arr in (data, indices, indptr):
+            arr.setflags(write=False)
+        return CSRMatrix(shape, data, indices, indptr)
+
+    @staticmethod
     def from_arrays(
         data: np.ndarray,
         indices: np.ndarray,
@@ -184,7 +203,7 @@ class CSRMatrix:
         counts = np.bincount(rows, minlength=dense.shape[0])
         indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return CSRMatrix(dense.shape, data, indices, indptr)
+        return CSRMatrix._adopt(dense.shape, data, indices, indptr)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -317,8 +336,9 @@ class CSRMatrix:
         order = np.lexsort((src_rows, cols))
         index_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
         t_indices = src_rows[order].astype(index_dtype)
-        t_data = self.data[order].copy()
-        return CSRMatrix((n_cols, n_rows), t_data, t_indices, t_indptr)
+        return CSRMatrix._adopt(
+            (n_cols, n_rows), self.data[order], t_indices, t_indptr
+        )
 
     def to_dense(self, dtype: np.dtype = np.float64) -> np.ndarray:
         """Materialize as a dense 2-D array (small matrices / tests only)."""
@@ -329,7 +349,7 @@ class CSRMatrix:
 
     def astype(self, value_dtype: np.dtype) -> "CSRMatrix":
         """Return a copy with values cast to ``value_dtype``."""
-        return CSRMatrix(
+        return CSRMatrix._adopt(
             self.shape,
             self.data.astype(value_dtype),
             self.indices.copy(),
@@ -352,7 +372,7 @@ class CSRMatrix:
                 f"column indices up to {int(self.indices.max())} do not fit "
                 f"in {index_dtype}"
             )
-        return CSRMatrix(
+        return CSRMatrix._adopt(
             self.shape,
             self.data.copy(),
             self.indices.astype(index_dtype),
@@ -368,7 +388,7 @@ class CSRMatrix:
             order = np.argsort(indices[start:end], kind="stable")
             indices[start:end] = indices[start:end][order]
             data[start:end] = data[start:end][order]
-        return CSRMatrix(self.shape, data, indices, self.indptr.copy())
+        return CSRMatrix._adopt(self.shape, data, indices, self.indptr.copy())
 
     def has_sorted_indices(self) -> bool:
         """True if column indices are non-decreasing within every row."""

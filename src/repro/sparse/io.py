@@ -41,7 +41,7 @@ def load_csr(path: PathLike) -> CSRMatrix:
         if kind != _CSR_KIND:
             raise FormatError(f"{path!s} holds a {kind!r} matrix, expected CSR")
         shape = tuple(int(v) for v in archive["shape"])
-        return CSRMatrix(
+        return CSRMatrix._adopt(
             shape,
             archive["data"].copy(),
             archive["indices"].copy(),

@@ -235,7 +235,7 @@ def extract_row_block(matrix: CSRMatrix, start: int, end: int) -> CSRMatrix:
     lo = int(matrix.indptr[start])
     hi = int(matrix.indptr[end])
     indptr = matrix.indptr[start : end + 1].astype(np.int64) - lo
-    return CSRMatrix(
+    return CSRMatrix._adopt(
         (end - start, matrix.n_cols),
         matrix.data[lo:hi].copy(),
         matrix.indices[lo:hi].copy(),

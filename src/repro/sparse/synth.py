@@ -109,7 +109,7 @@ def lognormal_rows(
                 starts[i], starts[i] + k
             )
     data = (rng.random(nnz) + 0.01).astype(value_dtype)
-    return CSRMatrix((n_rows, n_cols), data, indices, indptr)
+    return CSRMatrix._adopt((n_rows, n_cols), data, indices, indptr)
 
 
 def dose_like(

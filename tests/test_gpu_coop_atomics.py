@@ -1,5 +1,7 @@
 """Cooperative-groups emulation and the atomics model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,54 @@ class TestWarpTile:
         lanes = rng.random((5, 7, 8))
         out = tile.reduce_add(lanes)
         assert out.shape == (5, 7)
-        np.testing.assert_allclose(out, lanes.sum(axis=-1), rtol=1e-12)
+        want = [[tree_reduce(lanes[i, j], width=8) for j in range(7)]
+                for i in range(5)]
+        assert out.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32])
+    def test_every_width_and_lane_axis_matches_tree_reduce(self, rng, width):
+        # Magnitudes spread over 16 decades make every regrouping visible.
+        leading = rng.normal(size=(width, 6, 3)) * 10.0 ** rng.integers(
+            -8, 8, size=(width, 6, 3))
+        want = np.array([[tree_reduce(leading[:, i, b], width=width)
+                          for b in range(3)] for i in range(6)])
+        tile = WarpTile(width)
+        trailing = np.ascontiguousarray(np.moveaxis(leading, 0, -1))
+        for lanes, axis in ((leading, 0), (trailing, -1), (trailing, 2)):
+            got = tile.reduce_add(lanes, axis=axis)
+            assert got.shape == (6, 3)
+            assert got.tobytes() == want.tobytes(), (width, axis)
+        in_place = tile.reduce_add_in_place(leading.copy())
+        assert in_place.tobytes() == want.tobytes()
+
+    def test_reduce_add_leaves_its_input_untouched(self, rng):
+        for width in (2, 32):
+            lanes = rng.random((4, width, 3))
+            kept = lanes.tobytes()
+            WarpTile(width).reduce_add(lanes, axis=1)
+            assert lanes.tobytes() == kept
+            lanes.setflags(write=False)
+            WarpTile(width).reduce_add(lanes, axis=1)
+
+    def test_in_place_form_writes_only_the_array_it_was_handed(self, rng):
+        tile = WarpTile(16)
+        buffer = rng.random((48, 50, 8))
+        around = buffer.copy()
+        handed = buffer[16:32]
+        want = tile.reduce_add(handed, axis=0)
+        tracemalloc.start()
+        try:
+            got = tile.reduce_add_in_place(handed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # no temporary the size of a lane
+        assert np.shares_memory(got, handed)
+        assert got.tobytes() == want.tobytes()
+        assert buffer[:16].tobytes() == around[:16].tobytes()
+        assert buffer[32:].tobytes() == around[32:].tobytes()
+        with pytest.raises(LaunchConfigError):
+            tile.reduce_add_in_place(buffer)
 
     def test_reduce_rejects_wrong_lane_count(self):
         with pytest.raises(LaunchConfigError):

@@ -19,6 +19,7 @@ Without infinities every NaN is the weights' own, and the bytes are
 compared as they are.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -210,8 +211,8 @@ class TestBytewiseProperty:
 
 class TestCompactLayout:
     def test_lanes_hold_each_row_in_warp_order(self, rng):
-        m = _matrix(rng, [5, 0, 40, 1, 3, 17, 0, 64, 2, 9, 16, 33], 20,
-                    np.float16)
+        m = _matrix(rng, [5, 0, 40, 1, 3, 17, 0, 64, 2, 9, 16, 33, 200, 6,
+                          2, 1, 32], 20, np.float16)
         plan = compile_plan(m, "vector", np.float64)
         lengths = m.row_lengths()
         widths = [min(32, 1 << (int(n) - 1).bit_length())
@@ -228,17 +229,25 @@ class TestCompactLayout:
         assert lanes.indices.dtype == lanes.indptr.dtype == np.int32
         assert lanes.data.dtype == np.float64
         assert lanes.shape == (sum(widths), m.n_cols)
-        # Virtual row (r, l) holds row r's elements l, l + 32, ... in order.
-        v = 0
-        for r, w in zip(plan.rows, widths):
-            start, end = m.indptr[r], m.indptr[r + 1]
-            for lane in range(w):
-                got = slice(lanes.indptr[v], lanes.indptr[v + 1])
-                want = slice(start + lane, end, 32)
-                assert lanes.indices[got].tolist() == m.indices[want].tolist()
-                assert _bits(lanes.data[got], np.float64) == _bits(
-                    m.data[want], np.float64)
-                v += 1
+        # Lane-major: virtual row ``group start + l * rows + r`` holds the
+        # group's r-th row's elements l, l + 32, ... in order.
+        group_start = first_row = 0
+        for w, count in plan.lane_groups:
+            for r in range(count):
+                row = plan.rows[first_row + r]
+                start, end = m.indptr[row], m.indptr[row + 1]
+                for lane in range(w):
+                    v = group_start + lane * count + r
+                    got = slice(lanes.indptr[v], lanes.indptr[v + 1])
+                    want = slice(start + lane, end, 32)
+                    assert lanes.indices[got].tolist() == (
+                        m.indices[want].tolist())
+                    assert _bits(lanes.data[got], np.float64) == _bits(
+                        m.data[want], np.float64)
+            group_start += w * count
+            first_row += count
+        assert group_start == lanes.shape[0]
+        assert lanes.indptr[-1] == m.nnz
         for arr in (plan.rows, lanes.data, lanes.indices, lanes.indptr):
             assert not arr.flags.writeable
 
@@ -289,6 +298,51 @@ class TestCompactLayout:
         assert fits.operator.indices.dtype == np.int32
         assert fits.operator.indptr.dtype == np.int32
         assert fits.nnz == 1
+
+
+class TestExecutorMemory:
+    """The butterfly runs in place on the product's output: an execute
+    allocates the lane sums, the output and the cast operand, and no
+    temporary of a lane group's size."""
+
+    SLACK = 64 * 1024
+
+    @pytest.fixture
+    def plan(self, rng):
+        # Row lengths 0-199: most rows fill the 32-lane group.
+        m = _matrix(rng, rng.integers(0, 200, size=2000), 300, np.float16)
+        plan = compile_plan(m, "vector", np.float64)
+        assert plan.lane_groups[-1][0] == 32
+        assert plan.lane_groups[-1][1] > 0.8 * m.n_rows
+        return plan
+
+    def peak_bytes(self, call):
+        call()  # first-call allocations are not the executor's
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    def test_batched_execute_peaks_at_its_lane_sums_and_output(self, rng,
+                                                               plan):
+        batch = 8
+        weights = np.ascontiguousarray(rng.random((plan.n_cols, batch)))
+        peak, doses = self.peak_bytes(lambda: execute_plan_multi(plan, weights))
+        item = np.dtype(plan.accum_dtype).itemsize
+        lane_sums = plan.operator.shape[0] * batch * item
+        assert peak <= (lane_sums + doses.nbytes + weights.nbytes
+                        + self.SLACK), peak / (lane_sums + doses.nbytes)
+
+    def test_single_execute_peaks_at_its_lane_sums_and_output(self, rng,
+                                                              plan):
+        x = rng.random(plan.n_cols)
+        peak, y = self.peak_bytes(lambda: execute_plan(plan, x))
+        lane_sums = plan.operator.shape[0] * np.dtype(plan.accum_dtype).itemsize
+        assert peak <= lane_sums + y.nbytes + x.nbytes + self.SLACK, (
+            peak / (lane_sums + y.nbytes))
 
 
 class TestWorkDoneOnce:

@@ -10,6 +10,7 @@ at once must agree; and no caller may change the arrays it derives from.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from hypothesis import strategies as st
 
 from repro.gpu.device import A100, P100, V100
 from repro.kernels.csr_scalar import ScalarCSRKernel
-from repro.kernels.csr_vector import HalfDoubleKernel, warp_csr_spmv_exact
+from repro.kernels.csr_vector import (
+    HalfDoubleKernel,
+    SingleKernel,
+    warp_csr_spmv_exact,
+)
 from repro.kernels.plan import compile_plan, execute_plan
 from repro.precision.types import SINGLE
+import repro.sparse.csr as csr_module
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.partition import extract_row_block
 from repro.util.errors import ReproError
 from tests.conftest import make_random_csr
 from tests.test_gpu_accounting_exact import (
@@ -203,13 +210,78 @@ class TestConstructionOwnsItsMemory:
         data = np.ones(6, np.float32)
         indices = np.array([0, 1, 2, 3, 4, 5], np.int32)
         indptr = np.array([0, 2, 6], np.int64)
+        for arr in (data, indices, indptr):
+            arr.setflags(write=False)
         owned = CSRMatrix((2, 8), data, indices, indptr)
         assert owned.data is data and owned.indices is indices
-        assert not indices.flags.writeable
+        assert owned.indptr is indptr
         block = CSRMatrix((1, 8), owned.data[2:], owned.indices[2:],
                           np.array([0, 4], np.int64))
         assert np.shares_memory(block.indices, owned.indices)
         assert np.shares_memory(block.data, owned.data)
+
+    def test_writeable_arrays_are_copied(self):
+        arrays = (np.ones(6, np.float32), np.arange(6, dtype=np.int32),
+                  np.array([0, 2, 6], np.int64))
+        matrix = CSRMatrix((2, 8), *arrays)
+        for got, given in zip((matrix.data, matrix.indices, matrix.indptr),
+                              arrays):
+            assert not np.shares_memory(got, given)
+            assert not got.flags.writeable and given.flags.writeable
+
+    def test_a_view_taken_before_construction_changes_nothing(self):
+        a = np.array([0, 1, 2, 3], np.int32)
+        early = a[:]
+        matrix = CSRMatrix((1, 8), np.ones(4, np.float32), a,
+                           np.array([0, 4]))
+        kernel = SingleKernel()
+        plan = compile_plan(matrix, "vector", np.float32)
+        x = np.linspace(0.5, 1.5, 8)
+        dose = execute_plan(plan, x)
+        timing = kernel.model_timing(matrix, A100).time_s
+        early[0] = 7
+        assert matrix.indices.tolist() == [0, 1, 2, 3]
+        assert execute_plan(plan, x).tobytes() == dose.tobytes()
+        assert kernel.model_timing(matrix, A100).time_s == timing
+        assert kernel.model_timing(fresh_copy(matrix), A100).time_s == timing
+
+    def test_fresh_arrays_are_handed_over_without_a_copy(self, rng,
+                                                         monkeypatch):
+        matrix = make_random_csr(rng, n_rows=40, n_cols=30)
+        kept = []
+        original = csr_module._frozen_private
+
+        def recording(arr):
+            frozen = original(arr)
+            kept.append(frozen is arr)
+            return frozen
+
+        monkeypatch.setattr(csr_module, "_frozen_private", recording)
+        derived = [
+            matrix.astype(np.float16),
+            matrix.transposed(),
+            matrix.with_index_dtype(np.uint16),
+            matrix.sorted_indices(),
+            CSRMatrix.from_dense(matrix.to_dense()),
+            extract_row_block(matrix, 5, 31),
+        ]
+        assert kept == [True] * 3 * len(derived)
+        for m in derived:
+            for arr in (m.data, m.indices, m.indptr):
+                assert arr.base is None and not arr.flags.writeable
+
+    def test_astype_allocates_each_array_once(self, rng):
+        matrix = make_random_csr(rng, n_rows=2000, n_cols=300, density=0.3)
+        matrix.astype(np.float16)
+        tracemalloc.start()
+        try:
+            converted = matrix.astype(np.float16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        made = converted.nbytes()
+        assert converted.indices.nbytes > 64 * 1024
+        assert peak <= made + 64 * 1024, peak / made
 
     def test_view_of_writeable_memory_is_copied(self):
         matrix, (base_data, base_indices, base_indptr) = self.views()
