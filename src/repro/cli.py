@@ -24,6 +24,7 @@ Observability flags (every subcommand):
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -1391,6 +1392,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return rc
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value > 0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"must be a finite positive number, got {text!r}"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-rtdose",
@@ -1780,7 +1794,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt_flags.add_argument("--tolerance", type=float, default=1e-6,
                            help="relative projected-gradient tolerance")
     opt_flags.add_argument("--max-iterations", type=int, default=30)
-    opt_flags.add_argument("--initial-step", type=float, default=1.0)
+    opt_flags.add_argument("--initial-step", type=_finite_positive,
+                           default=1.0)
 
     p_opt_run = opt_sub.add_parser(
         "run", parents=[obs_flags, opt_flags],

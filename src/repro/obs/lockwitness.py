@@ -69,7 +69,6 @@ LOCK_LEVELS: Dict[str, int] = {
     "serve.cache.PlanEntry": 30,
     "serve.service.accounting": 35,
     "opt.service.accounting": 35,
-    "opt.solver.stats": 35,
     "obs.metrics.Counter": 40,
     "obs.metrics.Gauge": 40,
     "obs.metrics.Histogram": 40,

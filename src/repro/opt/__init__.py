@@ -1,5 +1,6 @@
 """Plan-optimization application layer: objectives, problem, solvers."""
 
+from repro.opt.dist.loop import project_nonnegative
 from repro.opt.dvh_objectives import (
     MaxDVHObjective,
     MinDVHObjective,
@@ -23,10 +24,8 @@ from repro.opt.robust import (
 from repro.opt.solver import (
     IterationRecord,
     OptimizationResult,
-    project_nonnegative,
     solve_lbfgs,
     solve_projected_gradient,
-    solver_stats,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "project_nonnegative",
     "solve_lbfgs",
     "solve_projected_gradient",
-    "solver_stats",
 ]

@@ -7,8 +7,9 @@ Layers (bottom up):
 * :mod:`repro.opt.dist.evaluator` — sharded ``(f, ∇f)`` evaluation over
   :mod:`repro.dist` device pools (forward ``A·w`` + adjoint ``Aᵀ·r``,
   both merged by pure concatenation → bitwise shard-count-independent);
-* :mod:`repro.opt.dist.loop` — the pure projected-gradient transition,
-  trajectory witnesses, and checkpoint/resume state codec;
+* :mod:`repro.opt.dist.loop` — the repo's one projected-gradient loop
+  (pure transition and stop rule), trajectory witnesses, and the
+  checkpoint/resume state codec;
 * :mod:`repro.opt.dist.service` — many concurrent optimizations
   multiplexed over the serve micro-batcher with tenant budgets,
   cooperative preemption and typed terminal states;
@@ -44,10 +45,10 @@ from repro.opt.dist.loop import (
     TrajectoryPoint,
     advance,
     checkpoint_dict,
-    converged,
     initial_state,
     restore_state,
     run_to_completion,
+    stop_reason,
     warm_start,
 )
 from repro.opt.dist.objective_spec import (
@@ -101,7 +102,6 @@ __all__ = [
     "build_objective",
     "checkpoint_dict",
     "compare_trajectories",
-    "converged",
     "initial_state",
     "points_from_artifact_entries",
     "restore_state",
@@ -111,5 +111,6 @@ __all__ = [
     "run_to_completion",
     "specs_from_dicts",
     "specs_to_dicts",
+    "stop_reason",
     "warm_start",
 ]

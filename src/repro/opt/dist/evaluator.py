@@ -37,11 +37,7 @@ import numpy as np
 from repro.dist.evaluator import ShardedEvaluator, tuned_or_default_evaluator
 from repro.dist.pool import DevicePool
 from repro.kernels.base import SpMVKernel
-from repro.kernels.plan import (
-    TransposePlan,
-    compile_transpose_plan,
-    execute_transpose_plan,
-)
+from repro.kernels.plan import TransposePlan, compile_transpose_plan
 from repro.obs import metrics
 from repro.obs.trace import span as trace_span
 from repro.opt.objectives import CompositeObjective
@@ -123,10 +119,6 @@ class LocalObjectiveEvaluator:
             dose=dose,
             modeled_time_s=forward.timing.time_s + adjoint.timing.time_s,
         )
-
-    def adjoint_only(self, residual: np.ndarray) -> np.ndarray:
-        """``A^T r`` via the transpose plan (no kernel timing model)."""
-        return execute_transpose_plan(self.tplan, residual)
 
 
 class DistributedObjectiveEvaluator:

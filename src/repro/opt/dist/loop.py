@@ -1,9 +1,8 @@
-"""The resumable optimization loop and its checkpoint schema.
+"""The projected-gradient loop, its stop rule and its checkpoint schema.
 
-The classic solver (:mod:`repro.opt.solver`) is a closed loop: state
-lives in local variables, so a killed optimization is gone.  This module
-restructures projected gradient with Barzilai-Borwein steps as an
-explicit state machine:
+This module holds the repo's one implementation of projected gradient
+with Barzilai-Borwein steps and backtracking, written as an explicit
+state machine:
 
 * :class:`OptimizerState` — everything iteration ``k+1`` depends on
   (iterate, objective value, gradient, next step size, convergence
@@ -14,6 +13,11 @@ explicit state machine:
   serialization of the state (arrays as base64 of their raw
   little-endian bytes, floats as ``float.hex()``), recorded through the
   :mod:`repro.obs.artifact` sink as the ``opt_checkpoint`` phase.
+
+Three callers step this loop and stop by :func:`stop_reason`: the
+classic :func:`repro.opt.solver.solve_projected_gradient`,
+:func:`run_to_completion` (CLI and audits) and the optimization
+service's worker.  They differ only in what they record.
 
 Because ``advance`` is deterministic given (state bits, matrix bits,
 objective spec), the trajectory from any restored checkpoint is
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import base64
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -43,10 +48,8 @@ from repro.obs import artifact, metrics
 from repro.obs.clock import get_clock
 from repro.obs.trace import span as trace_span
 from repro.opt.objectives import CompositeObjective
-from repro.opt.solver import project_nonnegative
 from repro.util.errors import ReproError
-
-from repro.opt.dist.evaluator import ObjectiveEvaluation
+from repro.util.validation import first_non_finite
 
 CHECKPOINT_SCHEMA = "repro.opt-checkpoint/v1"
 
@@ -55,18 +58,25 @@ class CheckpointError(ReproError):
     """A checkpoint that cannot be restored."""
 
 
-class ObjectiveEvaluator(Protocol):
-    """What the loop needs from an evaluation backend."""
+class Evaluation(Protocol):
+    """What the loop reads of one ``(f, ∇f)`` evaluation."""
 
     @property
-    def n_weights(self) -> int: ...
+    def value(self) -> float: ...
+
+    @property
+    def gradient(self) -> np.ndarray: ...
+
+
+class ObjectiveEvaluator(Protocol):
+    """What the loop needs from an evaluation backend."""
 
     @property
     def n_shards(self) -> int: ...
 
     def value_and_gradient(
         self, w: np.ndarray, objective: CompositeObjective
-    ) -> ObjectiveEvaluation: ...
+    ) -> Evaluation: ...
 
 
 class TerminalState(enum.Enum):
@@ -138,11 +148,28 @@ class OptRunOutcome:
     detail: str = ""
 
 
-def _pg_norm(w: np.ndarray, grad: np.ndarray) -> float:
+def project_nonnegative(w: np.ndarray) -> np.ndarray:
+    """Clip weights to the physical w >= 0 constraint."""
+    return np.maximum(w, 0.0)
+
+
+def projected_gradient_norm(w: np.ndarray, grad: np.ndarray) -> float:
     """Projected-gradient norm (descent directions only at bounds)."""
     pg = grad.copy()
     pg[(w <= 0.0) & (grad > 0)] = 0.0
     return float(np.linalg.norm(pg))
+
+
+def feasible_start(w0: np.ndarray) -> np.ndarray:
+    """The warm start as float64 on w >= 0; ValueError if not finite
+    (projection would keep a NaN and clip ``-inf`` to a silent 0)."""
+    w = np.asarray(w0, dtype=np.float64)
+    spot = first_non_finite(w)
+    if spot is not None:
+        raise ValueError(
+            f"w0[{spot}] is {w.ravel()[spot]}; warm starts must be finite"
+        )
+    return project_nonnegative(w)
 
 
 def trajectory_point(state: OptimizerState) -> TrajectoryPoint:
@@ -166,27 +193,41 @@ def initial_state(
     w0: np.ndarray,
     initial_step: float = 1.0,
 ) -> OptimizerState:
-    """Evaluate the warm start and open the trajectory at iteration 0."""
-    w = project_nonnegative(
-        np.asarray(w0, dtype=np.float64).copy()
-    )
+    """Evaluate the warm start and open the trajectory at iteration 0.
+
+    ValueError unless ``w0`` is finite and ``initial_step`` finite and
+    positive (a zero step never moves, a negative one climbs).
+    """
+    if not (math.isfinite(initial_step) and initial_step > 0):
+        raise ValueError(
+            f"initial_step must be finite and positive, got {initial_step}"
+        )
+    w = feasible_start(w0)
     ev = evaluator.value_and_gradient(w, objective)
     metrics.counter("opt.objective_evals").inc()
+    norm = projected_gradient_norm(w, ev.gradient)
     return OptimizerState(
         iteration=0,
         w=w,
         value=ev.value,
         grad=ev.gradient,
-        pg_norm=_pg_norm(w, ev.gradient),
+        pg_norm=norm,
         step=float(initial_step),
-        initial_norm=_pg_norm(w, ev.gradient),
+        initial_norm=norm,
         n_evals=1,
     )
 
 
-def converged(state: OptimizerState, tolerance: float) -> bool:
-    """Relative projected-gradient convergence test."""
-    return state.pg_norm <= tolerance * state.initial_norm
+def stop_reason(
+    state: OptimizerState, tolerance: float, max_iterations: int
+) -> Optional[Tuple[TerminalState, str]]:
+    """``(terminal, detail)`` once the loop stops, else ``None``; the
+    convergence test runs before the budget test."""
+    if state.pg_norm <= tolerance * state.initial_norm:
+        return TerminalState.CONVERGED, ""
+    if state.iteration >= max_iterations:
+        return TerminalState.BUDGET_EXHAUSTED, f"max_iterations={max_iterations}"
+    return None
 
 
 def advance(
@@ -200,15 +241,13 @@ def advance(
 
     A pure transition: the returned state is a deterministic function of
     the input state's bits (plus matrix + objective), which is the whole
-    checkpoint/resume argument.  Mirrors
-    :func:`repro.opt.solver.solve_projected_gradient` iteration for
-    iteration.
+    checkpoint/resume argument.  Every projected-gradient solve in the
+    repo steps through this function.
     """
     w, value, grad, step = state.w, state.value, state.grad, state.step
     evals = 0
-    with trace_span(
-        "opt.iteration", solver="dist_pgd", iteration=state.iteration + 1
-    ) as sp:
+    with trace_span("opt.iteration", solver="projected_gradient",
+                    iteration=state.iteration + 1) as sp:
         w_new = project_nonnegative(w - step * grad)
         ev = evaluator.value_and_gradient(w_new, objective)
         evals += 1
@@ -224,7 +263,7 @@ def advance(
         g = ev.gradient - grad
         sg = float(s @ g)
         next_step = float(s @ s) / sg if sg > 1e-30 else float(initial_step)
-        pg = _pg_norm(w_new, ev.gradient)
+        pg = projected_gradient_norm(w_new, ev.gradient)
         sp.set_attrs(objective=ev.value, gradient_norm=pg,
                      backtracks=backtracks)
     metrics.counter("opt.iterations").inc()
@@ -376,7 +415,6 @@ def run_to_completion(
     checkpoint_every: int = 0,
     halt_after: Optional[int] = None,
     seed: Optional[int] = None,
-    on_point: Optional[Callable[[TrajectoryPoint, OptimizerState], None]] = None,
 ) -> OptRunOutcome:
     """Drive ``state`` until a typed terminal condition.
 
@@ -388,26 +426,19 @@ def run_to_completion(
     clock = get_clock()
     points: List[TrajectoryPoint] = []
 
-    def emit(pt: TrajectoryPoint, st: OptimizerState, wall_s: float) -> None:
+    def emit(pt: TrajectoryPoint, wall_s: float) -> None:
         points.append(pt)
         record_iteration_point(
             opt_id, pt, shards=evaluator.n_shards, wall_s=wall_s
         )
-        if on_point is not None:
-            on_point(pt, st)
 
-    if state.iteration == 0 and not points:
-        emit(trajectory_point(state), state, 0.0)
+    if state.iteration == 0:
+        emit(trajectory_point(state), 0.0)
     while True:
-        if converged(state, tolerance):
+        stop = stop_reason(state, tolerance, max_iterations)
+        if stop is not None:
             record_checkpoint(opt_id, state, seed=seed, reason="terminal")
-            return OptRunOutcome(TerminalState.CONVERGED, state, points)
-        if state.iteration >= max_iterations:
-            record_checkpoint(opt_id, state, seed=seed, reason="terminal")
-            return OptRunOutcome(
-                TerminalState.BUDGET_EXHAUSTED, state, points,
-                detail=f"max_iterations={max_iterations}",
-            )
+            return OptRunOutcome(stop[0], state, points, detail=stop[1])
         if halt_after is not None and state.iteration >= halt_after:
             record_checkpoint(opt_id, state, seed=seed, reason="preempt")
             return OptRunOutcome(
@@ -425,7 +456,7 @@ def run_to_completion(
                 TerminalState.FAILED, state, points,
                 detail=f"{type(exc).__name__}: {exc}",
             )
-        emit(trajectory_point(state), state, clock.monotonic() - t0)
+        emit(trajectory_point(state), clock.monotonic() - t0)
         if checkpoint_every > 0 and state.iteration % checkpoint_every == 0:
             record_checkpoint(opt_id, state, seed=seed, reason="interval")
 

@@ -40,6 +40,7 @@ truncate) can change a single bit of any iterate.  The post-run audit
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -67,10 +68,10 @@ from repro.opt.dist.loop import (
     TerminalState,
     TrajectoryPoint,
     advance,
-    converged,
     initial_state,
     record_checkpoint,
     record_iteration_point,
+    stop_reason,
     trajectory_point,
     warm_start,
 )
@@ -127,6 +128,11 @@ class OptimizationRequest:
             raise OptServeError(
                 f"optimization {self.opt_id!r}: max_iterations must be "
                 f"positive, got {self.max_iterations}"
+            )
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise OptServeError(
+                f"optimization {self.opt_id!r}: initial_step must be "
+                f"finite and positive, got {self.initial_step}"
             )
 
 
@@ -693,14 +699,11 @@ class OptimizationService:
             for _ in range(self.config.quantum):
                 state = task.state
                 assert state is not None
-                if converged(state, request.tolerance):
-                    self._finish(task, TerminalState.CONVERGED)
-                    return False
-                if state.iteration >= request.max_iterations:
-                    self._finish(
-                        task, TerminalState.BUDGET_EXHAUSTED,
-                        detail=f"max_iterations={request.max_iterations}",
-                    )
+                stop = stop_reason(
+                    state, request.tolerance, request.max_iterations
+                )
+                if stop is not None:
+                    self._finish(task, stop[0], detail=stop[1])
                     return False
                 if task.preempt_flag.is_set():
                     self._finish(

@@ -11,7 +11,7 @@ spends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class SpMVAccounting:
     n_forward: int = 0
     n_transpose: int = 0
     modelled_spmv_seconds: float = 0.0
-
-    @property
-    def n_dose_calculations(self) -> int:
-        return self.n_forward
 
 
 class PlanOptimizationProblem:
@@ -133,7 +129,3 @@ class PlanOptimizationProblem:
                 result = self.kernel.run(t_mat, grad_d)
                 self.accounting.modelled_spmv_seconds += result.timing.time_s
         return value, np.concatenate(grads)
-
-    def dvh_doses(self, w: np.ndarray) -> Dict[str, np.ndarray]:
-        """Dose vector keyed for DVH evaluation (single entry: 'total')."""
-        return {"total": self.dose(w)}

@@ -1,24 +1,35 @@
 """Solvers for the spot-weight optimization problem.
 
 Spot weights are physically non-negative, so the canonical solver is
-projected gradient descent with Barzilai-Borwein step sizes; a projected
-L-BFGS (projection after the two-loop update) is provided for faster
-convergence on the better-conditioned prostate cases.  Both report
-per-iteration statistics so the examples can show how many dose
-calculations a plan costs — the quantity the paper's GPU port accelerates.
+projected gradient descent with Barzilai-Borwein step sizes: a caller
+of the one loop of :mod:`repro.opt.dist.loop`, fed by the problem's
+``value_and_gradient(w)``.  A projected L-BFGS (projection after the
+two-loop update) is provided for faster convergence on the
+better-conditioned prostate cases.  Both report per-iteration statistics
+so the examples can show how many dose calculations a plan costs — the
+quantity the paper's GPU port accelerates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import metrics
 from repro.obs.clock import Clock, get_clock
-from repro.obs.lockwitness import guarded_lock
 from repro.obs.trace import span as trace_span, traced
+from repro.opt.dist.loop import (
+    TerminalState,
+    advance,
+    feasible_start,
+    initial_state,
+    project_nonnegative,
+    projected_gradient_norm,
+    stop_reason,
+)
+from repro.opt.objectives import CompositeObjective
 from repro.opt.problem import PlanOptimizationProblem
 from repro.util.errors import ConvergenceError
 
@@ -33,29 +44,6 @@ def _eval(
     return problem.value_and_gradient(w)
 
 
-_stats_lock = guarded_lock(  # analyze: lock-guards[_solve_stats]
-    "opt.solver.stats"
-)
-#: cumulative per-solver totals (iterations, evals, wall seconds).
-_solve_stats: Dict[str, Dict[str, float]] = {}
-
-
-def _note_solve(solver: str, iterations: int, wall_s: float) -> None:
-    with _stats_lock:
-        entry = _solve_stats.setdefault(
-            solver, {"solves": 0.0, "iterations": 0.0, "wall_s": 0.0}
-        )
-        entry["solves"] += 1
-        entry["iterations"] += iterations
-        entry["wall_s"] += wall_s
-
-
-def solver_stats() -> Dict[str, Dict[str, float]]:
-    """Cumulative per-solver accounting (snapshot copy)."""
-    with _stats_lock:
-        return {name: dict(entry) for name, entry in _solve_stats.items()}
-
-
 @dataclass
 class IterationRecord:
     """One optimizer iteration's statistics."""
@@ -63,7 +51,6 @@ class IterationRecord:
     iteration: int
     objective: float
     gradient_norm: float
-    step_size: float
     #: wall time of this iteration per the injected clock (0.0 when the
     #: clock stands still, e.g. a FakeClock in tests).
     wall_s: float = 0.0
@@ -86,9 +73,23 @@ class OptimizationResult:
         return np.asarray([r.objective for r in self.history])
 
 
-def project_nonnegative(w: np.ndarray) -> np.ndarray:
-    """Clip weights to the physical w >= 0 constraint."""
-    return np.maximum(w, 0.0)
+class _Evaluation(NamedTuple):
+    value: float
+    gradient: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ProblemEvaluator:
+    """A problem's ``value_and_gradient(w)`` as the loop's evaluator (the
+    problem owns its objective, so the loop's is not read)."""
+
+    problem: PlanOptimizationProblem
+    n_shards = 1
+
+    def value_and_gradient(
+        self, w: np.ndarray, objective: CompositeObjective
+    ) -> _Evaluation:
+        return _Evaluation(*self.problem.value_and_gradient(w))
 
 
 @traced("opt.solve", solver="projected_gradient")
@@ -107,69 +108,38 @@ def solve_projected_gradient(
     times its initial value.  ``clock`` (injectable for tests; defaults
     to the process clock) times each iteration without touching the
     math: timing is observational, never part of the trajectory.
+    Bad ``w0`` or ``initial_step``: see :func:`initial_state`.
     """
     if max_iterations <= 0:
         raise ValueError("max_iterations must be positive")
     clock = clock or get_clock()
     solve_start = clock.monotonic()
-
-    def finish(result: OptimizationResult) -> OptimizationResult:
-        result.wall_s = clock.monotonic() - solve_start
-        _note_solve("projected_gradient", result.iterations, result.wall_s)
-        return result
-
-    w = (
-        np.full(problem.n_weights, 1.0)
-        if w0 is None
-        else project_nonnegative(np.asarray(w0, dtype=np.float64).copy())
+    evaluator = _ProblemEvaluator(problem)
+    state = initial_state(
+        evaluator, problem.objective,
+        np.full(problem.n_weights, 1.0) if w0 is None else w0,
+        initial_step=initial_step,
     )
-    value, grad = _eval(problem, w)
-    step = initial_step
     history: List[IterationRecord] = []
-    initial_norm = _projected_gradient_norm(w, grad)
-    if initial_norm == 0.0:
-        return finish(OptimizationResult(w, value, 0, True, history))
-    prev_w = None
-    prev_grad = None
-    for it in range(1, max_iterations + 1):
-        with trace_span("opt.iteration", solver="projected_gradient",
-                        iteration=it) as sp:
-            iter_start = clock.monotonic()
-            w_new = project_nonnegative(w - step * grad)
-            value_new, grad_new = _eval(problem, w_new)
-            # Backtrack if the step increased the objective.
-            backtracks = 0
-            while value_new > value and backtracks < 20:
-                step *= 0.5
-                w_new = project_nonnegative(w - step * grad)
-                value_new, grad_new = _eval(problem, w_new)
-                backtracks += 1
-            prev_w, prev_grad = w, grad
-            w, value, grad = w_new, value_new, grad_new
-            pg_norm = _projected_gradient_norm(w, grad)
-            history.append(IterationRecord(
-                it, value, pg_norm, step,
-                wall_s=clock.monotonic() - iter_start,
-            ))
-            metrics.counter("opt.iterations").inc()
-            sp.set_attrs(objective=value, gradient_norm=pg_norm,
-                         backtracks=backtracks)
-            if pg_norm <= tolerance * initial_norm:
-                return finish(OptimizationResult(w, value, it, True, history))
-            # Barzilai-Borwein step for the next iteration.
-            s = w - prev_w
-            g = grad - prev_grad
-            sg = float(s @ g)
-            if sg > 1e-30:
-                step = float(s @ s) / sg
-            else:
-                step = initial_step
-    if raise_on_failure:
+    while (stop := stop_reason(state, tolerance, max_iterations)) is None:
+        iter_start = clock.monotonic()
+        state = advance(
+            evaluator, problem.objective, state, initial_step=initial_step
+        )
+        history.append(IterationRecord(
+            state.iteration, state.value, state.pg_norm,
+            wall_s=clock.monotonic() - iter_start,
+        ))
+    converged = stop[0] is TerminalState.CONVERGED
+    if raise_on_failure and not converged:
         raise ConvergenceError(
             f"projected gradient did not converge in {max_iterations} iterations "
-            f"(final projected-gradient norm {history[-1].gradient_norm:.3e})"
+            f"(final projected-gradient norm {state.pg_norm:.3e})"
         )
-    return finish(OptimizationResult(w, value, max_iterations, False, history))
+    return OptimizationResult(
+        state.w.copy(), state.value, state.iteration, converged, history,
+        wall_s=clock.monotonic() - solve_start,
+    )
 
 
 @traced("opt.solve", solver="lbfgs")
@@ -182,24 +152,21 @@ def solve_lbfgs(
     clock: Optional[Clock] = None,
 ) -> OptimizationResult:
     """Projected L-BFGS (two-loop recursion, projection after each step)."""
+    if max_iterations <= 0:
+        raise ValueError("max_iterations must be positive")
     clock = clock or get_clock()
     solve_start = clock.monotonic()
 
     def finish(result: OptimizationResult) -> OptimizationResult:
         result.wall_s = clock.monotonic() - solve_start
-        _note_solve("lbfgs", result.iterations, result.wall_s)
         return result
 
-    w = (
-        np.full(problem.n_weights, 1.0)
-        if w0 is None
-        else project_nonnegative(np.asarray(w0, dtype=np.float64).copy())
-    )
+    w = np.full(problem.n_weights, 1.0) if w0 is None else feasible_start(w0)
     value, grad = _eval(problem, w)
     s_list: List[np.ndarray] = []
     y_list: List[np.ndarray] = []
     history: List[IterationRecord] = []
-    initial_norm = _projected_gradient_norm(w, grad)
+    initial_norm = projected_gradient_norm(w, grad)
     if initial_norm == 0.0:
         return finish(OptimizationResult(w, value, 0, True, history))
     for it in range(1, max_iterations + 1):
@@ -224,10 +191,9 @@ def solve_lbfgs(
                     s_list.pop(0)
                     y_list.pop(0)
             w, value, grad = w_new, value_new, grad_new
-            pg_norm = _projected_gradient_norm(w, grad)
+            pg_norm = projected_gradient_norm(w, grad)
             history.append(IterationRecord(
-                it, value, pg_norm, step,
-                wall_s=clock.monotonic() - iter_start,
+                it, value, pg_norm, wall_s=clock.monotonic() - iter_start,
             ))
             metrics.counter("opt.iterations").inc()
             sp.set_attrs(objective=value, gradient_norm=pg_norm,
@@ -256,14 +222,3 @@ def _two_loop(
         q += (alpha - beta) * s
     return q
 
-
-def _projected_gradient_norm(w: np.ndarray, grad: np.ndarray) -> float:
-    """Norm of the gradient projected onto the feasible directions.
-
-    At active bounds (w == 0) only descent directions pointing inward
-    (negative gradient components) count.
-    """
-    pg = grad.copy()
-    at_bound = w <= 0.0
-    pg[at_bound & (grad > 0)] = 0.0
-    return float(np.linalg.norm(pg))

@@ -15,6 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: Precision value -> dtype, built once (kernels read it on every call).
+_DTYPES = {
+    "half": np.dtype(np.float16),
+    "single": np.dtype(np.float32),
+    "double": np.dtype(np.float64),
+}
+
+
 class Precision(enum.Enum):
     """Scalar precision of a stored value."""
 
@@ -25,16 +33,12 @@ class Precision(enum.Enum):
     @property
     def dtype(self) -> np.dtype:
         """NumPy dtype corresponding to this precision."""
-        return {
-            Precision.HALF: np.dtype(np.float16),
-            Precision.SINGLE: np.dtype(np.float32),
-            Precision.DOUBLE: np.dtype(np.float64),
-        }[self]
+        return _DTYPES[self.value]
 
     @property
     def nbytes(self) -> int:
         """Bytes per value."""
-        return self.dtype.itemsize
+        return _DTYPES[self.value].itemsize
 
     @staticmethod
     def from_dtype(dtype: np.dtype) -> "Precision":

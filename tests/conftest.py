@@ -13,10 +13,15 @@ import pytest
 from repro.analyze.rules import reset_registry as reset_analyze_registry
 from repro.bench.harness import clear_caches
 from repro.dose.beam import Beam
+from repro.dose.grid import DoseGrid
 from repro.dose.phantom import build_liver_phantom
+from repro.dose.structures import ROIMask
 from repro.obs.artifact import NullArtifactSink, set_sink
 from repro.obs.metrics import get_registry
-from repro.plans.cases import build_case_matrix
+from repro.opt.objectives import CompositeObjective, UniformDoseObjective
+from repro.opt.problem import PlanOptimizationProblem
+from repro.opt.robust import build_scenario_matrices, setup_error_scenarios
+from repro.plans.cases import build_case_matrix, get_case
 from repro.sparse.csr import CSRMatrix
 
 
@@ -151,3 +156,36 @@ def small_beam(small_phantom):
     centers = small_phantom.grid.voxel_centers()
     iso = centers[small_phantom.target.voxel_indices].mean(axis=0)
     return Beam("test-beam", gantry_angle_deg=0.0, isocenter_mm=tuple(iso))
+
+
+@pytest.fixture(scope="module")
+def problem(tiny_liver_case):
+    """A one-beam Liver 1 (tiny) plan problem and its target ROI.
+
+    The target is synthesized on the case grid: the 300 voxels that
+    receive the most dose from unit weights.
+    """
+    dep = tiny_liver_case
+    dose = dep.dose(np.ones(dep.n_spots))
+    flat = np.zeros(dep.n_voxels, dtype=bool)
+    flat[np.argsort(dose)[-300:]] = True
+    case = get_case("Liver 1", "tiny")
+    grid = DoseGrid(case.phantom_shape, case.phantom_spacing)
+    nx, ny, nz = grid.shape
+    roi = ROIMask("target", grid, flat.reshape(nz, ny, nx))
+    objective = CompositeObjective([UniformDoseObjective(roi, 60.0)])
+    return PlanOptimizationProblem([dep], objective), roi
+
+
+@pytest.fixture(scope="module")
+def scenario_setup(small_phantom, small_beam):
+    """Three setup-error scenarios (nominal, x+, x-) on the small phantom."""
+    scenarios = setup_error_scenarios(12.0)[:3]
+    matrices = build_scenario_matrices(
+        small_phantom, [small_beam], scenarios,
+        spot_spacing_mm=14.0, layer_spacing_mm=18.0,
+    )
+    objective = CompositeObjective(
+        [UniformDoseObjective(small_phantom.target, 60.0)]
+    )
+    return small_phantom, scenarios, matrices, objective

@@ -115,30 +115,6 @@ class TestObjectives:
             UniformDoseObjective(roi, 60.0).value(np.zeros(3))
 
 
-@pytest.fixture(scope="module")
-def problem(tiny_liver_case):
-    dep = tiny_liver_case
-    phantom_voxels = dep.n_voxels
-    # Synthesize an ROI on the case grid: voxels receiving the most dose.
-    from repro.dose.grid import DoseGrid
-    from repro.dose.structures import ROIMask
-
-    grid_shape = None
-    dose = dep.dose(np.ones(dep.n_spots))
-    # top-300 voxels as "target"
-    idx = np.argsort(dose)[-300:]
-    flat = np.zeros(phantom_voxels, dtype=bool)
-    flat[idx] = True
-    from repro.plans.cases import get_case
-
-    case = get_case("Liver 1", "tiny")
-    grid = DoseGrid(case.phantom_shape, case.phantom_spacing)
-    nx, ny, nz = grid.shape
-    roi = ROIMask("target", grid, flat.reshape(nz, ny, nx))
-    objective = CompositeObjective([UniformDoseObjective(roi, 60.0)])
-    return PlanOptimizationProblem([dep], objective), roi
-
-
 class TestProblem:
     def test_dose_matches_reference(self, problem, rng):
         prob, _ = problem
@@ -230,6 +206,30 @@ class TestSolvers:
         prob, _ = problem
         with pytest.raises(ValueError):
             solve_projected_gradient(prob, max_iterations=0)
+
+    @pytest.mark.parametrize("solver", [solve_projected_gradient, solve_lbfgs])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warm_start_refused(self, problem, solver, bad):
+        prob, _ = problem
+        w0 = np.ones(prob.n_weights)
+        w0[3] = bad
+        before = prob.accounting.n_forward
+        with pytest.raises(ValueError, match=r"w0\[3\]"):
+            solver(prob, w0=w0)
+        assert prob.accounting.n_forward == before
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_initial_step_refused(self, problem, step):
+        prob, _ = problem
+        before = prob.accounting.n_forward
+        with pytest.raises(ValueError, match="initial_step"):
+            solve_projected_gradient(prob, initial_step=step)
+        assert prob.accounting.n_forward == before
+
+    def test_lbfgs_max_iterations_validated(self, problem):
+        prob, _ = problem
+        with pytest.raises(ValueError):
+            solve_lbfgs(prob, max_iterations=0)
 
     def test_converged_flag_on_zero_gradient(self, problem):
         prob, roi = problem

@@ -102,6 +102,14 @@ def test_opt_loadtest_smoke(capsys):
     assert "trajectories bitwise vs standalone" in out
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_opt_run_refuses_bad_initial_step(step, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["opt", "run", "--no-audit", "--initial-step", step] + FAST)
+    assert exc.value.code == 2
+    assert "--initial-step" in capsys.readouterr().err
+
+
 def test_opt_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["opt"])

@@ -113,6 +113,26 @@ class TestTerminals:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+class TestWarmStartChecks:
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_initial_step_refused(self, step):
+        matrix, _, objective = _problem()
+        with pytest.raises(ValueError, match="initial_step"):
+            initial_state(
+                _local(matrix), objective, warm_start(0, matrix.n_cols),
+                initial_step=step,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_w0_refused(self, bad):
+        # -inf would otherwise be projected to a silent 0.
+        matrix, _, objective = _problem()
+        w0 = warm_start(0, matrix.n_cols)
+        w0[5] = bad
+        with pytest.raises(ValueError, match=r"w0\[5\]"):
+            initial_state(_local(matrix), objective, w0)
+
+
 class TestCheckpointSerialization:
     def test_round_trip_is_bitwise(self):
         matrix, _, objective = _problem()

@@ -215,6 +215,13 @@ class TestRejections:
                 max_iterations=0,
             )
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_initial_step_refused(self, step):
+        # A zero step never moves, a negative one climbs, a non-finite
+        # one fails the first forward: refused before admission.
+        with pytest.raises(OptServeError, match="initial_step"):
+            _request(initial_step=step)
+
 
 class TestFailurePaths:
     def test_warm_start_failure_resolves_ticket(

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.opt.objectives import CompositeObjective, UniformDoseObjective
-from repro.opt.robust import (
-    RobustPlanProblem,
-    Scenario,
-    build_scenario_matrices,
-    setup_error_scenarios,
-)
+from repro.opt.robust import RobustPlanProblem, setup_error_scenarios
 from repro.opt.solver import solve_projected_gradient
 from repro.util.errors import ReproError
 
@@ -38,19 +32,6 @@ class TestScenarioGeneration:
     def test_rejects_nonpositive_magnitude(self):
         with pytest.raises(ReproError):
             setup_error_scenarios(0.0)
-
-
-@pytest.fixture(scope="module")
-def scenario_setup(small_phantom, small_beam):
-    scenarios = setup_error_scenarios(12.0)[:3]  # nominal, x+, x-
-    matrices = build_scenario_matrices(
-        small_phantom, [small_beam], scenarios,
-        spot_spacing_mm=14.0, layer_spacing_mm=18.0,
-    )
-    objective = CompositeObjective(
-        [UniformDoseObjective(small_phantom.target, 60.0)]
-    )
-    return small_phantom, scenarios, matrices, objective
 
 
 class TestScenarioMatrices:
